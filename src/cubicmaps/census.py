@@ -13,11 +13,20 @@ point unacceptable and integrality a free correctness check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Dict, Optional
 
-from .exactnum import BigCount, ExactRational, binomial, factorial, factorial_or_zero_reciprocal, require_integer
+from .exactnum import (
+    BigCount,
+    ExactRational,
+    binomial,
+    exact_quotient,
+    factorial,
+    hypergeometric_sum,
+    require_integer,
+)
 from .orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
@@ -70,11 +79,12 @@ class CensusRow:
 
 def orientable_census_row(g: int) -> CensusRow:
     """The (rooted, sensed, unsensed) row for the orientable genus-g surface."""
+    sensed = sensed_cubic_orientable(g)
     return CensusRow(
         genus=g,
         rooted=rooted_cubic_orientable(g),
-        sensed=sensed_cubic_orientable(g),
-        unsensed=unsensed_cubic_orientable(g),
+        sensed=sensed,
+        unsensed=_unsensed_from_sensed(g, sensed),
     )
 
 
@@ -98,35 +108,60 @@ def sensed_cubic_orientable(g: int) -> BigCount:
 
     Four-term assembly: the rooted count averaged over the 2(6g-3) rootings,
     plus three correction sums for the maps fixed by nontrivial rotations
-    (quotient maps on orbifolds of genus gg below g). Each sum is written
-    exactly as in the closed form; pole guards make out-of-range summands 0.
+    (quotient maps on orbifolds of genus gg below g):
+
+      S2 = sum_gg (4g-2-2gg)! / (2 3^gg gg! (2g-1-gg)! (2g-4gg+1)!),
+      S3 = (2g-2)! / (6 (g-1)!) sum_gg (3/4)^{gg-1} (2^{g+1-3gg} + (-1)^{g-gg}) / (gg! (g+1-3gg)!),
+      S4 = sum_k sum_gg 3^{gg-2} (2^{2g-1-3k} + (-1)^k) (2k-2gg)!
+           / (gg! (k-gg)! (4k+3-2g-4gg)! (2g-1-3k)!),
+
+    with k from g//2 to (2g-2)//3 and gg from 0 to k-g//2. A negative
+    factorial in a denominator is a pole that zeroes its summand.
+
+    Consecutive summands in gg differ by a ratio of small integers, so each
+    sum is a hypergeometric chain evaluated by Horner's rule: S2 is one
+    chain, S3 two (its 2^{...} part and its (-1)^{...} part), S4 one chain
+    per k, ending at its last summand before a pole.
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
     total = Fraction(rooted_cubic_orientable(g), 2 * (6 * g - 3))
-    for gg in range(g // 2 + 1):
-        total += (
-            Fraction(factorial(4 * g - 2 - 2 * gg), 2 * 3 ** gg * factorial(gg) * factorial(2 * g - 1 - gg))
-            * factorial_or_zero_reciprocal(2 * g - 4 * gg + 1)
-        )
-    third = Fraction(0)
-    for gg in range((g + 1) // 3 + 1):
-        third += (
-            Fraction(3, 4) ** (gg - 1)
-            * (2 ** (g + 1 - 3 * gg) + (-1) ** (g - gg))
-            * Fraction(1, factorial(gg))
-            * factorial_or_zero_reciprocal(g + 1 - 3 * gg)
-        )
-    total += Fraction(factorial(2 * g - 2), 6 * factorial(g - 1)) * third
-    for k in range(g // 2, (2 * g - 2) // 3 + 1):
-        for gg in range(k - g // 2 + 1):
-            total += (
-                Fraction(3) ** (gg - 2)
-                * (2 ** (2 * g - 1 - 3 * k) + (-1) ** k)
-                * Fraction(factorial(2 * k - 2 * gg), factorial(gg) * factorial(k - gg))
-                * factorial_or_zero_reciprocal(4 * k + 3 - 2 * g - 4 * gg)
-                * factorial_or_zero_reciprocal(2 * g - 1 - 3 * k)
+    # S2: 2g-4gg+1 >= 1 for every gg <= g//2, so no summand is a pole.
+    total += hypergeometric_sum(
+        factorial(4 * g - 2),
+        2 * factorial(2 * g - 1) * factorial(2 * g + 1),
+        [
+            (
+                (2 * g - 1 - gg)
+                * (2 * g - 4 * gg + 1) * (2 * g - 4 * gg) * (2 * g - 4 * gg - 1) * (2 * g - 4 * gg - 2),
+                3 * (gg + 1) * (4 * g - 2 - 2 * gg) * (4 * g - 3 - 2 * gg),
             )
+            for gg in range(g // 2)
+        ],
+    )
+    # S3, prefactor folded into the first summands; g+1-3gg >= 0 up to (g+1)//3.
+    falling = [(g + 1 - 3 * gg) * (g - 3 * gg) * (g - 1 - 3 * gg) for gg in range((g + 1) // 3)]
+    den = 18 * factorial(g - 1) * factorial(g + 1)
+    total += hypergeometric_sum(
+        2 ** (g + 3) * factorial(2 * g - 2), den, [(3 * f, 32 * (gg + 1)) for gg, f in enumerate(falling)]
+    )
+    total += hypergeometric_sum(
+        (-1) ** g * 4 * factorial(2 * g - 2), den, [(-3 * f, 4 * (gg + 1)) for gg, f in enumerate(falling)]
+    )
+    # S4: 2g-1-3k >= 1 throughout, and 4k+3-2g-4gg >= 0 ends each chain.
+    for k in range(g // 2, (2 * g - 2) // 3 + 1):
+        top = 4 * k + 3 - 2 * g
+        total += hypergeometric_sum(
+            (2 ** (2 * g - 1 - 3 * k) + (-1) ** k) * factorial(2 * k),
+            9 * factorial(k) * factorial(top) * factorial(2 * g - 1 - 3 * k),
+            [
+                (
+                    3 * (top - 4 * gg) * (top - 4 * gg - 1) * (top - 4 * gg - 2) * (top - 4 * gg - 3),
+                    2 * (2 * k - 2 * gg - 1) * (gg + 1),
+                )
+                for gg in range(min(k - g // 2, top // 4))
+            ],
+        )
     return require_integer(total, f"sensed orientable count at g={g}")
 
 
@@ -141,9 +176,13 @@ def unsensed_cubic_orientable(g: int) -> BigCount:
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
+    return _unsensed_from_sensed(g, sensed_cubic_orientable(g))
+
+
+def _unsensed_from_sensed(g: int, sensed: BigCount) -> BigCount:
+    """The unsensed orientable count at genus g >= 1, given the sensed count there."""
     halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
-    total = Fraction(sensed_cubic_orientable(g) + halved + _cubic_nonorientable_formula(g), 2)
-    return require_integer(total, f"unsensed orientable count at g={g}")
+    return exact_quotient(sensed + halved + _cubic_nonorientable_formula(g), 2, f"unsensed orientable count at g={g}")
 
 
 # ============================================================
@@ -160,7 +199,7 @@ def h2_term_nonorientable(g: int) -> ExactRational:
     """
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    total = Fraction(0)
+    total = 0
     for orb in h2_orbifold_family(g):
         if orb.orientable:
             eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
@@ -168,8 +207,8 @@ def h2_term_nonorientable(g: int) -> ExactRational:
         else:
             eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
             quotients = precubic_nonorientable_by_genus_pair(g, orb.genus)
-        total += Fraction(eps * quotients, 2)
-    return total
+        total += eps * quotients
+    return Fraction(total, 2)
 
 
 def hl_term_nonorientable(g: int) -> ExactRational:
@@ -179,18 +218,22 @@ def hl_term_nonorientable(g: int) -> ExactRational:
     epsilon * C(n_s+n_v, n_s) * (precubic count with n_s+n_v leaves),
     re-rooted by the dart ratio: divided by 3g-3 + l*n_s/2, evaluated as the
     exact rational (6g-6 + l*n_s)/2.
+
+    Summands sharing a dart count 6g-6 + l*n_s share their denominator, so
+    their integer numerators are added first and each distinct denominator
+    costs one reduction.
     """
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    total = Fraction(0)
+    by_darts: Dict[int, int] = defaultdict(int)
     for sol in solve_closed_orbifolds(g):
         if not sol.contributes:
             continue
         k = sol.n_s + sol.n_v
-        total += Fraction(
+        by_darts[6 * g - 6 + sol.l * sol.n_s] += (
             sol.epsilon * binomial(k, sol.n_s) * precubic_nonorientable_by_leaves(sol.genus, k)
-        ) / Fraction(6 * g - 6 + sol.l * sol.n_s, 2)
-    return total / 4
+        )
+    return sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
 
 
 def unsensed_cubic_nonorientable(g: int) -> BigCount:

@@ -5,7 +5,9 @@ carry fractional prefactors are ``fractions.Fraction``. Everything downstream
 relies on two conventions fixed here:
 
   - a factorial of a negative integer appearing in a summand denominator is a
-    pole, and the whole summand vanishes (``factorial_or_zero_reciprocal``);
+    pole, and the whole summand vanishes (``factorial_or_zero_reciprocal``
+    applies it to one summand; the census kernels end each
+    ``hypergeometric_sum`` chain before its first pole);
   - a Jordan totient evaluated at a non-integral argument is zero
     (``jordan_totient_or_zero``).
 
@@ -66,11 +68,46 @@ def require_integer(value: ExactRational, context: str = "value") -> BigCount:
     """Convert an exact rational that must be integral into an int.
 
     Raises ArithmeticError otherwise: a non-integral final count means a
-    formula was assembled wrongly, never that rounding is wanted.
+    formula was assembled wrongly, never that rounding is wanted. The message
+    leaves the value out: past 4300 digits, formatting it would raise
+    ValueError in place of this error.
     """
     if value.denominator != 1:
-        raise ArithmeticError(f"{context} is not an integer: {value}")
+        raise ArithmeticError(f"{context} is not an integer")
     return int(value)
+
+
+def exact_quotient(num: int, den: int, context: str = "value") -> BigCount:
+    """Return num / den, which must be an integer; raise ArithmeticError otherwise.
+
+    The integer form of require_integer: one exact division instead of the
+    gcd a Fraction would take to reduce the pair first.
+    """
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{context} is not an integer")
+    return quotient
+
+
+# ============================================================
+# Hypergeometric sums
+# ============================================================
+
+
+def hypergeometric_sum(first_num: int, first_den: int, ratios: Sequence[Tuple[int, int]]) -> ExactRational:
+    """Sum the terms t_0, ..., t_m with t_0 = first_num/first_den and t_{j+1} = t_j * p_j/q_j.
+
+    `ratios` lists the m pairs (p_j, q_j) of small integers. Horner's rule
+    from the last term back, t_0 (1 + r_0 (1 + r_1 (... (1 + r_{m-1})))),
+    keeps the inner value as an unreduced numerator/denominator pair, so each
+    step is a big-by-small product; the only gcd is the one that reduces the
+    result. A zero term ends the chain, so callers stop at the last nonzero
+    term instead of passing a pole.
+    """
+    num = den = 1
+    for p, q in reversed(ratios):
+        num, den = q * den + p * num, q * den
+    return Fraction(first_num * num, first_den * den)
 
 
 # ============================================================

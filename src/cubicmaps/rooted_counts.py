@@ -8,8 +8,10 @@ surface of genus g (g crosscaps) it has n = 3g-3 edges and 2g-2 vertices.
 
 These rooted counts are the raw material for the census module: the sensed
 and unsensed totals are assembled from them via orbit counting, with the
-precubic families appearing as quotient maps on orbifolds. All evaluation is
-in exact rationals; results are asserted integral before being returned.
+precubic families appearing as quotient maps on orbifolds. Each closed form
+is evaluated as one integer numerator over one integer denominator and
+divided with a remainder check (exact_quotient), so a wrong transcription
+raises instead of rounding.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import (
-    BigCount,
-    ExactRational,
-    binomial,
-    factorial,
-    factorial_or_zero_reciprocal,
-    require_integer,
-)
+from .exactnum import BigCount, ExactRational, exact_quotient, factorial
 
 
 # ============================================================
@@ -66,8 +61,11 @@ def rooted_cubic_orientable(g: int) -> BigCount:
     """
     if g <= 0:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
-    value = Fraction(2 * factorial(6 * g - 3), 12 ** g * factorial(g) * factorial(3 * g - 2))
-    return require_integer(value, f"rooted cubic orientable count at g={g}")
+    return exact_quotient(
+        2 * factorial(6 * g - 3),
+        12 ** g * factorial(g) * factorial(3 * g - 2),
+        f"rooted cubic orientable count at g={g}",
+    )
 
 
 def _cubic_nonorientable_formula(g: int) -> BigCount:
@@ -77,13 +75,13 @@ def _cubic_nonorientable_formula(g: int) -> BigCount:
     assembly in the census needs exactly this value, while the public count
     below reports 0 there (the projective plane carries no cubic map).
     """
+    context = f"rooted cubic non-orientable count at g={g}"
     if g % 2 == 0:
         h = g // 2
-        value = c_coefficient(h) * Fraction(factorial(6 * h - 2), factorial(3 * h - 1))
-    else:
-        h = (g - 1) // 2
-        value = Fraction(2 ** (6 * h) * factorial(3 * h), 3 ** h * factorial(h))
-    return require_integer(value, f"rooted cubic non-orientable count at g={g}")
+        c = c_coefficient(h)
+        return exact_quotient(c.numerator * factorial(6 * h - 2), c.denominator * factorial(3 * h - 1), context)
+    h = (g - 1) // 2
+    return exact_quotient(2 ** (6 * h) * factorial(3 * h), 3 ** h * factorial(h), context)
 
 
 def rooted_cubic_nonorientable(g: int) -> BigCount:
@@ -104,11 +102,19 @@ def c_coefficient(h: int) -> ExactRational:
 
     c_h = 2^{2h-2} h! / (3^{h-1} (2h)!) * sum_{i=0}^{h-1} C(2i, i) 16^{-i}.
     c_1 = 1/2, c_2 = 1/8.
+
+    The partial sum is N_h / 16^{h-1} with the integer
+    N_h = sum_{i<h} C(2i, i) 16^{h-1-i}, built by Horner's rule
+    N <- 16 N + C(2i, i) while C(2i+2, i+1) = C(2i, i) 2(2i+1)/(i+1), so
+    c_h = h! N_h / (12^{h-1} (2h)!) takes a single reduction.
     """
     if h <= 0:
         raise ValueError(f"c_coefficient requires h >= 1 (got {h})")
-    partial = sum(Fraction(binomial(2 * i, i), 16 ** i) for i in range(h))
-    return Fraction(2 ** (2 * h - 2) * factorial(h), 3 ** (h - 1) * factorial(2 * h)) * partial
+    partial, central = 0, 1
+    for i in range(h):
+        partial = 16 * partial + central
+        central = central * 2 * (2 * i + 1) // (i + 1)
+    return Fraction(factorial(h) * partial, 12 ** (h - 1) * factorial(2 * h))
 
 
 # ============================================================
@@ -134,11 +140,11 @@ def precubic_orientable(g: int, gg: int) -> BigCount:
     m = g - gg - 2
     if m < 0 or m + 2 - 3 * gg < 0:
         return 0
-    value = (
-        Fraction(2 * factorial(2 * m + 1), 12 ** gg * factorial(gg) * factorial(m))
-        * factorial_or_zero_reciprocal(m + 2 - 3 * gg)
+    return exact_quotient(
+        2 * factorial(2 * m + 1),
+        12 ** gg * factorial(gg) * factorial(m) * factorial(m + 2 - 3 * gg),
+        f"precubic orientable count at (g={g}, gg={gg})",
     )
-    return require_integer(value, f"precubic orientable count at (g={g}, gg={gg})")
 
 
 def precubic_nonorientable_by_leaves(gg: int, k: int) -> BigCount:
@@ -153,19 +159,17 @@ def precubic_nonorientable_by_leaves(gg: int, k: int) -> BigCount:
     e = precubic_edges_nonorientable(gg, k)
     if e <= 0:
         return 0
+    context = f"precubic non-orientable count at (gg={gg}, k={k})"
     if gg % 2 == 0:
         h = gg // 2
-        value = (
-            2
-            * c_coefficient(h)
-            * factorial(2 * k + 6 * h - 3)
-            * factorial_or_zero_reciprocal(k)
-            * factorial_or_zero_reciprocal(k + 3 * h - 2)
+        c = c_coefficient(h)
+        return exact_quotient(
+            2 * c.numerator * factorial(2 * k + 6 * h - 3),
+            c.denominator * factorial(k) * factorial(k + 3 * h - 2),
+            context,
         )
-    else:
-        h = (gg - 1) // 2
-        value = Fraction(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k))
-    return require_integer(value, f"precubic non-orientable count at (gg={gg}, k={k})")
+    h = (gg - 1) // 2
+    return exact_quotient(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k), context)
 
 
 def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> BigCount:
@@ -179,26 +183,24 @@ def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> BigCount:
     """
     if gg < 1:
         return 0
+    context = f"precubic non-orientable count at (g={g}, gg={gg})"
+    h = gg // 2
+    if g - h - 2 < 0:
+        return 0
     if gg % 2 == 0:
-        h = gg // 2
-        if g - h - 2 < 0:
+        if g - 4 * h < 0:
             return 0
-        value = (
-            2
-            * c_coefficient(h)
-            * factorial(2 * g - 2 * h - 3)
-            * factorial_or_zero_reciprocal(g - h - 2)
-            * factorial_or_zero_reciprocal(g - 4 * h)
+        c = c_coefficient(h)
+        return exact_quotient(
+            2 * c.numerator * factorial(2 * g - 2 * h - 3),
+            c.denominator * factorial(g - h - 2) * factorial(g - 4 * h),
+            context,
         )
-    else:
-        h = (gg - 1) // 2
-        if g - h - 2 < 0:
-            return 0
-        value = (
-            Fraction(2 ** (2 * g - 2 * h - 4) * factorial(g - h - 2), 3 ** h * factorial(h))
-            * factorial_or_zero_reciprocal(g - 4 * h - 2)
-        )
-    return require_integer(value, f"precubic non-orientable count at (g={g}, gg={gg})")
+    if g - 4 * h - 2 < 0:
+        return 0
+    return exact_quotient(
+        2 ** (2 * g - 2 * h - 4) * factorial(g - h - 2), 3 ** h * factorial(h) * factorial(g - 4 * h - 2), context
+    )
 
 
 # ============================================================

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cubicmaps import golden
+from cubicmaps import cli, golden
+from cubicmaps.census import nonorientable_census_row, orientable_census_row
 from cubicmaps.cli import main
 
 
@@ -83,6 +86,98 @@ def test_table_json_numbers_are_strings(capsys) -> None:
     assert rows[1]["unsensed"] == "5189463083084174721816125584"
     for row in rows:
         assert all(isinstance(value, str) for value in row.values())
+
+
+def _reference_render(fmt, headers, rows) -> str:
+    """The table rendering as it was before rows were streamed: one string built from every row."""
+    if fmt == "csv":
+        lines = [",".join(headers)] + [",".join(row) for row in rows]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps([dict(zip(headers, row)) for row in rows], indent=2) + "\n"
+    lines = ["| " + " | ".join(headers) + " |", "| " + " | ".join(["---"] * len(headers)) + " |"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_streamed_table_matches_whole_rendering(capsys, fmt) -> None:
+    rows = [orientable_census_row(g) for g in range(1, 7)]
+    cells = [(str(r.genus), str(r.rooted), str(r.sensed), str(r.unsensed)) for r in rows]
+    code, out, _ = _run(capsys, "table", "--surface", "orientable", "--gmin", "1", "--gmax", "6", "--format", fmt)
+    assert code == 0
+    assert out == _reference_render(fmt, ("g", "rooted", "sensed", "unsensed"), cells)
+    rows = [nonorientable_census_row(g) for g in range(2, 3)]
+    cells = [(str(r.genus), str(r.rooted), str(r.unsensed)) for r in rows]
+    code, out, _ = _run(capsys, "table", "--surface", "nonorientable", "--gmin", "2", "--gmax", "2", "--format", fmt)
+    assert code == 0
+    assert out == _reference_render(fmt, ("g", "rooted", "unsensed"), cells)
+
+
+def test_table_writes_each_row_before_computing_the_next(monkeypatch) -> None:
+    stream = io.StringIO()
+    seen = []
+
+    def row(g):
+        seen.append(stream.getvalue().count("\n"))
+        return orientable_census_row(g)
+
+    monkeypatch.setattr(cli, "orientable_census_row", row)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["table", "--surface", "orientable", "--gmin", "1", "--gmax", "4", "--format", "csv"]) == 0
+    assert seen == [1, 2, 3, 4]
+
+
+# SHA-256 of counts whose decimal form passes Python's default 4300-digit
+# int-to-str limit, as recorded in perfbench/digests.json; the rooted count
+# at orientable genus 626 (4304 digits), which that file does not hold, was
+# computed with the same library.
+PAST_DIGIT_LIMIT = {
+    ("orientable", "rooted", 626): "4a0f168412a8a87016efb7a95e87d214e83a65d7fbca187c0109fa93a6c73ae5",
+    ("orientable", "sensed", 626): "446c0f2b525e286e91fd188c6bd011c0e8073940028c791155dc02397f5c2dac",
+    ("orientable", "unsensed", 626): "45a55825c1d4b8b3e6131e8c200764caa3ca46cf5d8b481a7d2ccee8c96a34dc",
+    ("orientable", "sensed", 627): "93371f953dee628d15b9eb4e1edb0bfd4514703a852b5f4d3b46c0f5bda0fbc0",
+    ("orientable", "unsensed", 627): "3b905cb8c9aaad7d2c5c7027a61f58c31fc95468bfba81f6b819e8ff1cec1d0a",
+    ("nonorientable", "unsensed", 1162): "aaf13e48fa58d46ce2883d80d05e776f082de512bc11233738d6aa9f02bb3502",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "surface, kind, genus",
+    [("orientable", "sensed", 627), ("orientable", "unsensed", 627), ("nonorientable", "unsensed", 1162)],
+)
+def test_count_prints_past_the_digit_limit(capsys, surface, kind, genus) -> None:
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, "count", "--surface", surface, "--genus", str(genus), "--kind", kind)
+    assert (code, err) == (0, "")
+    assert len(out.strip()) > 4300
+    assert _sha256(out.strip()) == PAST_DIGIT_LIMIT[surface, kind, genus]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_table_prints_past_the_digit_limit(capsys) -> None:
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, "table", "--surface", "orientable", "--gmin", "626", "--gmax", "626")
+    assert (code, err) == (0, "")
+    cells = [cell.strip() for cell in out.splitlines()[2].strip("|").split("|")]
+    assert cells[0] == "626"
+    assert len(cells[1]) > 4300
+    for kind, cell in zip(("rooted", "sensed", "unsensed"), cells[1:]):
+        assert _sha256(cell) == PAST_DIGIT_LIMIT["orientable", kind, 626]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_import_leaves_digit_limit_alone() -> None:
+    code = (
+        "import sys; before = sys.get_int_max_str_digits(); import cubicmaps.cli; "
+        "print(sys.get_int_max_str_digits() == before)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert (result.returncode, result.stdout) == (0, "True\n")
 
 
 def test_table_range_validation(capsys) -> None:
@@ -205,6 +300,23 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
     assert code == 1
     assert "table-reproduction: FAIL" in out
     assert "FIRST FAILURE:" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "name, suite",
+    [("orientable_census_row", "integrality"), ("count_sensed_orientable", "oracle-equivalence")],
+)
+def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suite) -> None:
+    def broken(*args, **kwargs):
+        raise ValueError("expected unsensed <= rooted at g=1")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, _ = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
+    assert code == 1
+    assert f"{suite}: FAIL" in out
+    last = out.splitlines()[-1]
+    assert last.startswith("FIRST FAILURE:")
+    assert "expected unsensed <= rooted" in last
 
 
 def test_verify_rejects_uncalibratable_limits(capsys) -> None:

@@ -10,8 +10,10 @@ import pytest
 from cubicmaps.exactnum import (
     binomial,
     euler_phi,
+    exact_quotient,
     factorial,
     factorial_or_zero_reciprocal,
+    hypergeometric_sum,
     jordan_totient_or_zero,
     lcm_list,
     prime_factorization,
@@ -54,6 +56,27 @@ def test_require_integer() -> None:
     assert isinstance(require_integer(Fraction(4, 2)), int)
     with pytest.raises(ArithmeticError):
         require_integer(Fraction(1, 2), "half")
+    with pytest.raises(ArithmeticError):
+        require_integer(Fraction(10 ** 4400 + 1, 2))
+
+
+def test_exact_quotient() -> None:
+    assert exact_quotient(factorial(10), factorial(7)) == 720
+    assert exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="half"):
+        exact_quotient(1, 2, "half")
+    with pytest.raises(ArithmeticError):
+        exact_quotient(factorial(500) + 1, factorial(499))
+
+
+def test_hypergeometric_sum() -> None:
+    # C(n, j+1) = C(n, j) (n-j)/(j+1): the row sum is 2^n
+    for n in range(0, 12):
+        assert hypergeometric_sum(1, 1, [(n - j, j + 1) for j in range(n)]) == 2 ** n
+    # alternating reciprocal factorials, first term 3/2
+    ratios = [(-1, j + 1) for j in range(6)]
+    assert hypergeometric_sum(3, 2, ratios) == sum(Fraction(3 * (-1) ** j, 2 * factorial(j)) for j in range(7))
+    assert hypergeometric_sum(5, 7, []) == Fraction(5, 7)
 
 
 def test_prime_factorization() -> None:

@@ -1,0 +1,191 @@
+"""The census kernels against the closed forms summed literally, one reduced Fraction per summand.
+
+The library evaluates each correction sum as a hypergeometric chain by
+Horner's rule, and each closed form as one exact integer division. The
+reference functions below are the formulas as printed, with the pole
+convention applied summand by summand; they share no evaluation code with
+the kernels, only factorial, binomial and the orbifold enumeration.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from cubicmaps.census import (
+    h2_term_nonorientable,
+    hl_term_nonorientable,
+    orientable_census_row,
+    sensed_cubic_orientable,
+    unsensed_cubic_orientable,
+)
+from cubicmaps.exactnum import binomial, factorial, factorial_or_zero_reciprocal, require_integer
+from cubicmaps.orbifolds import (
+    epsilon_h2_nonorientable,
+    epsilon_h2_orientable,
+    h2_orbifold_family,
+    solve_closed_orbifolds,
+)
+from cubicmaps.rooted_counts import (
+    _cubic_nonorientable_formula,
+    c_coefficient,
+    precubic_nonorientable_by_genus_pair,
+    precubic_nonorientable_by_leaves,
+    precubic_orientable,
+    rooted_cubic_orientable,
+)
+
+GENERA = list(range(1, 81)) + [150, 201, 300]
+
+
+# ============================================================
+# Reference formulas, summed literally
+# ============================================================
+
+
+def reference_c_coefficient(h: int) -> Fraction:
+    partial = sum(Fraction(binomial(2 * i, i), 16 ** i) for i in range(h))
+    return Fraction(2 ** (2 * h - 2) * factorial(h), 3 ** (h - 1) * factorial(2 * h)) * partial
+
+
+def reference_precubic_by_leaves(gg: int, k: int) -> int:
+    if gg < 1 or k < 0:
+        return 0
+    if gg % 2 == 0:
+        h = gg // 2
+        if 2 * k + 6 * h - 3 <= 0:
+            return 0
+        value = (
+            2
+            * reference_c_coefficient(h)
+            * factorial(2 * k + 6 * h - 3)
+            * factorial_or_zero_reciprocal(k)
+            * factorial_or_zero_reciprocal(k + 3 * h - 2)
+        )
+    else:
+        h = (gg - 1) // 2
+        if 2 * k + 6 * h <= 0:
+            return 0
+        value = Fraction(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k))
+    return require_integer(value)
+
+
+def reference_precubic_by_genus_pair(g: int, gg: int) -> int:
+    if gg < 1:
+        return 0
+    if gg % 2 == 0:
+        h = gg // 2
+        if g - h - 2 < 0:
+            return 0
+        value = (
+            2
+            * reference_c_coefficient(h)
+            * factorial(2 * g - 2 * h - 3)
+            * factorial_or_zero_reciprocal(g - h - 2)
+            * factorial_or_zero_reciprocal(g - 4 * h)
+        )
+    else:
+        h = (gg - 1) // 2
+        if g - h - 2 < 0:
+            return 0
+        value = (
+            Fraction(2 ** (2 * g - 2 * h - 4) * factorial(g - h - 2), 3 ** h * factorial(h))
+            * factorial_or_zero_reciprocal(g - 4 * h - 2)
+        )
+    return require_integer(value)
+
+
+def reference_sensed(g: int) -> int:
+    total = Fraction(rooted_cubic_orientable(g), 2 * (6 * g - 3))
+    for gg in range(g // 2 + 1):
+        total += (
+            Fraction(factorial(4 * g - 2 - 2 * gg), 2 * 3 ** gg * factorial(gg) * factorial(2 * g - 1 - gg))
+            * factorial_or_zero_reciprocal(2 * g - 4 * gg + 1)
+        )
+    third = Fraction(0)
+    for gg in range((g + 1) // 3 + 1):
+        third += (
+            Fraction(3, 4) ** (gg - 1)
+            * (2 ** (g + 1 - 3 * gg) + (-1) ** (g - gg))
+            * Fraction(1, factorial(gg))
+            * factorial_or_zero_reciprocal(g + 1 - 3 * gg)
+        )
+    total += Fraction(factorial(2 * g - 2), 6 * factorial(g - 1)) * third
+    for k in range(g // 2, (2 * g - 2) // 3 + 1):
+        for gg in range(k - g // 2 + 1):
+            total += (
+                Fraction(3) ** (gg - 2)
+                * (2 ** (2 * g - 1 - 3 * k) + (-1) ** k)
+                * Fraction(factorial(2 * k - 2 * gg), factorial(gg) * factorial(k - gg))
+                * factorial_or_zero_reciprocal(4 * k + 3 - 2 * g - 4 * gg)
+                * factorial_or_zero_reciprocal(2 * g - 1 - 3 * k)
+            )
+    return require_integer(total)
+
+
+def reference_unsensed(g: int) -> int:
+    halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
+    return require_integer(Fraction(reference_sensed(g) + halved + _cubic_nonorientable_formula(g), 2))
+
+
+def reference_h2_term(g: int) -> Fraction:
+    total = Fraction(0)
+    for orb in h2_orbifold_family(g):
+        if orb.orientable:
+            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
+            quotients = precubic_orientable(g, orb.genus)
+        else:
+            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
+            quotients = reference_precubic_by_genus_pair(g, orb.genus)
+        total += Fraction(eps * quotients, 2)
+    return total
+
+
+def reference_hl_term(g: int) -> Fraction:
+    total = Fraction(0)
+    for sol in solve_closed_orbifolds(g):
+        if not sol.contributes:
+            continue
+        k = sol.n_s + sol.n_v
+        total += Fraction(sol.epsilon * binomial(k, sol.n_s) * reference_precubic_by_leaves(sol.genus, k)) / Fraction(
+            6 * g - 6 + sol.l * sol.n_s, 2
+        )
+    return total / 4
+
+
+# ============================================================
+# Kernels == references
+# ============================================================
+
+
+@pytest.mark.parametrize("g", GENERA)
+def test_orientable_kernels_match_literal_sums(g: int) -> None:
+    sensed, unsensed = reference_sensed(g), reference_unsensed(g)
+    assert sensed_cubic_orientable(g) == sensed
+    assert unsensed_cubic_orientable(g) == unsensed
+    row = orientable_census_row(g)
+    assert (row.sensed, row.unsensed) == (sensed, unsensed)
+
+
+@pytest.mark.parametrize("g", [g for g in GENERA if g >= 2])
+def test_nonorientable_terms_match_literal_sums(g: int) -> None:
+    assert h2_term_nonorientable(g) == reference_h2_term(g)
+    assert hl_term_nonorientable(g) == reference_hl_term(g)
+
+
+def test_c_coefficient_matches_literal_sum() -> None:
+    for h in range(1, 151):
+        assert c_coefficient(h) == reference_c_coefficient(h)
+
+
+def test_precubic_nonorientable_match_literal_forms() -> None:
+    for gg in range(-1, 41):
+        for k in range(-1, 41):
+            assert precubic_nonorientable_by_leaves(gg, k) == reference_precubic_by_leaves(gg, k), (gg, k)
+    for g in range(0, 81):
+        for gg in range(-1, g + 2):
+            assert precubic_nonorientable_by_genus_pair(g, gg) == reference_precubic_by_genus_pair(g, gg), (g, gg)
+    for g in (150, 201, 300):
+        for gg in range(1, g // 2 + 1):
+            assert precubic_nonorientable_by_genus_pair(g, gg) == reference_precubic_by_genus_pair(g, gg), (g, gg)
