@@ -10,21 +10,12 @@ agreement at small n is strong evidence for both.
 from __future__ import annotations
 
 from cubicmaps import (
+    DEFAULT_MAX_EDGES_FULL,
+    DEFAULT_MAX_EDGES_ORIENTABLE,
     PolygonGluing,
-    SurfaceClass,
     classify,
-    count_rooted,
-    count_sensed_orientable,
-    count_unsensed,
-    nonorientable_census_row,
-    orientable_census_row,
 )
-
-CUBIC = frozenset({3})
-
-
-def _is_cubic(degrees: tuple) -> bool:
-    return set(degrees) == {3}
+from cubicmaps.cli import suite_oracle_equivalence
 
 
 def _show_single_gluing() -> None:
@@ -38,53 +29,21 @@ def _show_single_gluing() -> None:
     print()
 
 
-def _check_orientable() -> None:
-    print("Orientable cubic maps, oracle vs closed forms:")
-    g = 1
-    while 6 * g - 3 <= 9:
-        n = 6 * g - 3
-        surface = SurfaceClass(orientable=True, genus=g)
-        row = orientable_census_row(g)
-        rooted = count_rooted(n, surface, _is_cubic, CUBIC)
-        sensed = count_sensed_orientable(n, g, _is_cubic, CUBIC)
-        unsensed = count_unsensed(n, surface, _is_cubic, CUBIC)
-        agree = (rooted, sensed, unsensed) == (row.rooted, row.sensed, row.unsensed)
-        print(
-            f"  g = {g} (n = {n}): oracle ({rooted}, {sensed}, {unsensed}),"
-            f" formulas ({row.rooted}, {row.sensed}, {row.unsensed})"
-            f" {'MATCH' if agree else 'MISMATCH'}"
-        )
-        assert agree
-        g += 1
-    print()
-
-
-def _check_nonorientable() -> None:
-    print("Non-orientable cubic maps, oracle vs closed forms:")
-    g = 2
-    while 3 * g - 3 <= 6:
-        n = 3 * g - 3
-        surface = SurfaceClass(orientable=False, genus=g)
-        row = nonorientable_census_row(g)
-        rooted = count_rooted(n, surface, _is_cubic, CUBIC)
-        unsensed = count_unsensed(n, surface, _is_cubic, CUBIC)
-        agree = (rooted, unsensed) == (row.rooted, row.unsensed)
-        print(
-            f"  g = {g} (n = {n}): oracle ({rooted}, {unsensed}),"
-            f" formulas ({row.rooted}, {row.unsensed})"
-            f" {'MATCH' if agree else 'MISMATCH'}"
-        )
-        assert agree
-        g += 1
-    print()
-
-
-def main() -> None:
+def main() -> int:
     _show_single_gluing()
-    _check_orientable()
-    _check_nonorientable()
+    max_o, max_f = DEFAULT_MAX_EDGES_ORIENTABLE, DEFAULT_MAX_EDGES_FULL
+    print(f"Oracle vs closed forms (orientable n <= {max_o}, non-orientable n <= {max_f}):")
+    checks = suite_oracle_equivalence(max_o, max_f)
+    for check in checks:
+        verdict = "MATCH" if check.passed else "MISMATCH"
+        print(f"  {check.label}: oracle {check.got}, formula {check.want} {verdict}")
+    print()
+    if not all(check.passed for check in checks):
+        print("Some oracle counts differ from the closed forms.")
+        return 1
     print("All oracle counts match the closed forms.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -55,7 +55,8 @@ class CensusRow:
     A row with `sensed` present is an orientable-surface row (edge count
     6g-3), otherwise non-orientable (3g-3). Every unsensed map admits at most
     4n rootings and every sensed map at most 2n, which gives the sandwich
-    bounds validated here.
+    bounds validated here: rooted/(4n) <= unsensed <= rooted, and for
+    orientable rows rooted/(2n) <= sensed <= rooted as well.
     """
 
     genus: int
@@ -75,6 +76,8 @@ class CensusRow:
         n = 6 * self.genus - 3 if self.sensed is not None else 3 * self.genus - 3
         if self.rooted > 4 * n * self.unsensed:
             raise ValueError(f"rooted count exceeds 4n rootings per unsensed map at g={self.genus}")
+        if self.sensed is not None and self.rooted > 2 * n * self.sensed:
+            raise ValueError(f"rooted count exceeds 2n rootings per sensed map at g={self.genus}")
 
 
 def orientable_census_row(g: int) -> CensusRow:

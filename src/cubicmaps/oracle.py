@@ -21,10 +21,9 @@ the sides by a rotation re-roots the same map along its face; a reflection
 additionally reverses orientation. Burnside counting over the 2n rotations
 therefore yields sensed counts, and over the dihedral group of order 4n
 unsensed counts. Twist bits ride along unchanged under both kinds of
-relabelling; this convention and the one-gluing-one-rooted-map
-correspondence are empirically calibrated against known small counts by the
-verification suites (count_unsensed also implements the opposite twist
-transport as a fallback).
+relabelling. That convention, and the one-gluing-one-rooted-map
+correspondence, are confirmed by the unsensed and rooted checks of the
+`verify` oracle-equivalence suite against the closed forms.
 
 Search
 ------
@@ -43,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactnum import BigCount
+from .exactnum import BigCount, exact_quotient
 from .rooted_counts import SurfaceClass
 
 # Enumeration limits: full twisted enumeration visits (2n-1)!! 2^n gluings,
@@ -199,22 +198,20 @@ def _count_search(
     allow_twists: bool,
     accept: Callable[[bool, int, Tuple[int, ...]], bool],
     allowed_degrees: Optional[FrozenSet[int]],
-    symmetry: Optional[Tuple[Sequence[int], bool]] = None,
+    symmetry: Optional[Sequence[int]] = None,
 ) -> int:
     """Count gluings of the 2n-gon passing `accept`, optionally fixed by a symmetry.
 
     accept(orientable, genus, degrees) sees the final invariants.
     allowed_degrees is a pruning hint: a superset of every vertex degree any
-    accepted gluing may have. symmetry is (side permutation, twist flip); a
-    counted gluing must be fixed by it, twist bits XORed with the flip bit on
-    each application.
+    accepted gluing may have. symmetry is a side permutation; a counted
+    gluing must be fixed by it, twist bits carried unchanged.
     """
     two_n = 2 * n
     partner = [-1] * two_n
     twist_of = [False] * two_n
     classes = _CornerClasses(two_n)
     max_degree = max(allowed_degrees) if allowed_degrees else 0
-    perm, flip = symmetry if symmetry is not None else (None, False)
     twist_options = (False, True) if allow_twists else (False,)
 
     def place(a: int, b: int, twist: bool, placed: List[int]) -> bool:
@@ -247,17 +244,14 @@ def _count_search(
     def place_orbit(i: int, j: int, twist: bool, placed: List[int]) -> bool:
         if not place(i, j, twist, placed):
             return False
-        if perm is None:
+        if symmetry is None:
             return True
-        a, b, t = i, j, twist
+        a, b = i, j
         while True:
-            a, b, t = perm[a], perm[b], t ^ flip
-            lo, hi = (a, b) if a < b else (b, a)
-            if (lo, hi, t) == (i, j, twist):
+            a, b = symmetry[a], symmetry[b]
+            if (a, b) in ((i, j), (j, i)):
                 return True
-            if partner[a] == b and twist_of[a] == t:
-                continue
-            if not place(a, b, t, placed):
+            if not place(a, b, twist, placed):
                 return False
 
     total = 0
@@ -337,6 +331,26 @@ def count_rooted(
     return _count_search(n, full_mode, _surface_accept(surface, degree_filter), allowed_degrees)
 
 
+def _burnside(
+    n: int,
+    surface: SurfaceClass,
+    degree_filter: Optional[DegreeFilter],
+    allowed_degrees: Optional[FrozenSet[int]],
+    max_edges: Optional[int],
+    with_reflections: bool,
+) -> BigCount:
+    """Average over the 2n rotations, and the 2n reflections s -> c - s if asked, of the fixed gluings."""
+    full_mode = not surface.orientable
+    _check_limit(n, full_mode, max_edges)
+    accept = _surface_accept(surface, degree_filter)
+    two_n = 2 * n
+    symmetries = [[(s + d) % two_n for s in range(two_n)] for d in range(two_n)]
+    if with_reflections:
+        symmetries += [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
+    fixed_total = sum(_count_search(n, full_mode, accept, allowed_degrees, perm) for perm in symmetries)
+    return exact_quotient(fixed_total, len(symmetries), f"Burnside sum over a group of order {len(symmetries)}")
+
+
 def count_sensed_orientable(
     n: int,
     genus: int,
@@ -345,17 +359,7 @@ def count_sensed_orientable(
     max_edges: Optional[int] = None,
 ) -> BigCount:
     """Count orientable one-face maps with n edges up to rotation (Burnside over Z_2n)."""
-    _check_limit(n, False, max_edges)
-    surface = SurfaceClass(orientable=True, genus=genus)
-    accept = _surface_accept(surface, degree_filter)
-    two_n = 2 * n
-    fixed_total = 0
-    for d in range(two_n):
-        rotation = [(s + d) % two_n for s in range(two_n)]
-        fixed_total += _count_search(n, False, accept, allowed_degrees, (rotation, False))
-    if fixed_total % two_n != 0:
-        raise ArithmeticError(f"Burnside sum {fixed_total} not divisible by group order {two_n}")
-    return fixed_total // two_n
+    return _burnside(n, SurfaceClass(orientable=True, genus=genus), degree_filter, allowed_degrees, max_edges, False)
 
 
 def count_unsensed(
@@ -364,31 +368,13 @@ def count_unsensed(
     degree_filter: Optional[DegreeFilter] = None,
     allowed_degrees: Optional[FrozenSet[int]] = None,
     max_edges: Optional[int] = None,
-    reflection_flips_twists: bool = False,
 ) -> BigCount:
     """Count one-face maps with n edges on `surface` up to all homeomorphisms.
 
     Burnside over the dihedral group of order 4n: the 2n rotations plus the
-    2n reflections s -> c - s. Twist bits are carried unchanged by default;
-    reflection_flips_twists=True selects the complementary transport (kept
-    as the calibration fallback). The transport choice only exists on the
-    full twisted space, so it is ignored for orientable surfaces.
+    2n reflections s -> c - s, twist bits carried unchanged.
     """
-    full_mode = not surface.orientable
-    _check_limit(n, full_mode, max_edges)
-    accept = _surface_accept(surface, degree_filter)
-    flip = reflection_flips_twists and full_mode
-    two_n = 2 * n
-    fixed_total = 0
-    for d in range(two_n):
-        rotation = [(s + d) % two_n for s in range(two_n)]
-        fixed_total += _count_search(n, full_mode, accept, allowed_degrees, (rotation, False))
-    for c in range(two_n):
-        reflection = [(c - s) % two_n for s in range(two_n)]
-        fixed_total += _count_search(n, full_mode, accept, allowed_degrees, (reflection, flip))
-    if fixed_total % (2 * two_n) != 0:
-        raise ArithmeticError(f"Burnside sum {fixed_total} not divisible by group order {2 * two_n}")
-    return fixed_total // (2 * two_n)
+    return _burnside(n, surface, degree_filter, allowed_degrees, max_edges, True)
 
 
 def count_precubic(

@@ -172,11 +172,11 @@ def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> BigCount:
     """
     if l < 2 or gg < 1 or n_s < 0 or n_v < 0:
         raise ValueError("epsilon_hl arguments out of range")
+    # The parity test is decided first: about half of the solver's signatures fail it.
+    if l % 2 == 0 and ((l // 2) * n_s + (l // 3) * n_v + 1) % 2 != 0:
+        return 0
     base = l ** (gg - 1) * euler_phi(l) * 2 ** n_v
-    if l % 2 != 0:
-        return base
-    parity = (l // 2) * n_s + (l // 3 if n_v else 0) * n_v + 1
-    return 2 * base if parity % 2 == 0 else 0
+    return base if l % 2 != 0 else 2 * base
 
 
 # ============================================================

@@ -8,43 +8,12 @@ verbose run reads as a checklist.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
-from cubicmaps.census import (
-    nonorientable_census_row,
-    orientable_census_row,
-    sensed_cubic_orientable,
-    unsensed_cubic_orientable,
-)
-from cubicmaps.cli import main
+from cubicmaps.census import sensed_cubic_orientable, unsensed_cubic_orientable
+from cubicmaps.cli import main, suite_integrality, suite_oracle_equivalence, suite_specialization
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
-from cubicmaps.oracle import (
-    count_precubic,
-    count_rooted,
-    count_sensed_orientable,
-    count_unsensed,
-)
-from cubicmaps.orbifolds import (
-    epi_nonorientable_boundary,
-    epi_nonorientable_closed,
-    epi_orientable_boundary,
-    epi_plus_nonorientable_boundary,
-    epi_plus_nonorientable_closed,
-    epi_plus_orientable_boundary,
-    epsilon_h2_nonorientable,
-    epsilon_h2_orientable,
-    solve_closed_orbifolds,
-)
-from cubicmaps.rooted_counts import (
-    SurfaceClass,
-    _cubic_nonorientable_formula,
-    covering_genus_orientable,
-    precubic_leaves_nonorientable,
-    precubic_leaves_orientable,
-    precubic_nonorientable_by_leaves,
-    precubic_orientable,
-    rooted_cubic_orientable,
-)
+from cubicmaps.oracle import count_rooted, count_sensed_orientable, count_unsensed
+from cubicmaps.rooted_counts import SurfaceClass, _cubic_nonorientable_formula, rooted_cubic_orientable
 
 _CUBIC = frozenset({3})
 
@@ -153,66 +122,19 @@ def test_criterion_6_oracle_equivalence_nonorientable() -> None:
 def test_criterion_7_precubic_oracle_equivalence() -> None:
     start = time.perf_counter()
     limit = 8
-    compared = 0
-    for edges in range(1, limit + 1, 2):
-        gg = 0
-        while True:
-            leaves = precubic_leaves_orientable(gg, edges)
-            if leaves is None:
-                break
-            expected = precubic_orientable(covering_genus_orientable(gg, edges), gg)
-            got = count_precubic(edges, SurfaceClass(True, gg), leaves, max_edges=limit)
-            assert got == expected, (edges, gg, leaves)
-            compared += 1
-            gg += 1
-    for edges in range(1, limit + 1):
-        for gg in range(1, (edges + 3) // 3 + 1):
-            leaves = precubic_leaves_nonorientable(gg, edges)
-            if leaves is None:
-                continue
-            expected = precubic_nonorientable_by_leaves(gg, leaves)
-            got = count_precubic(edges, SurfaceClass(False, gg), leaves, max_edges=limit)
-            assert got == expected, (edges, gg, leaves)
-            compared += 1
+    checks = [check for check in suite_oracle_equivalence(limit, limit) if check.label.startswith("precubic")]
     elapsed = time.perf_counter() - start
-    assert compared == 16
+    assert len(checks) == 16
+    assert [check for check in checks if not check.passed] == []
     assert elapsed < 120.0
-    print(f"CRITERION 7: PASS - {compared} precubic surfaces with <= {limit} edges match")
+    print(f"CRITERION 7: PASS - {len(checks)} precubic surfaces with <= {limit} edges match")
 
 
 def test_criterion_8_property_suites() -> None:
     start = time.perf_counter()
-    for g in range(1, 201):
-        row = orientable_census_row(g)
-        n = 6 * g - 3
-        assert isinstance(row.rooted, int) and isinstance(row.sensed, int) and isinstance(row.unsensed, int)
-        assert Fraction(row.rooted, 2 * n) <= row.sensed <= row.rooted
-        assert Fraction(row.rooted, 4 * n) <= row.unsensed <= row.rooted
-    for g in range(2, 201):
-        row = nonorientable_census_row(g)
-        n = 3 * g - 3
-        assert isinstance(row.rooted, int) and isinstance(row.unsensed, int)
-        assert Fraction(row.rooted, 4 * n) <= row.unsensed <= row.rooted
-    for g in range(2, 13):
-        for sol in solve_closed_orbifolds(g):
-            branch = sol.branch_indices()
-            diff = epi_nonorientable_closed(sol.genus, branch, sol.l) - epi_plus_nonorientable_closed(
-                sol.genus, branch, sol.l
-            )
-            assert diff == sol.epsilon, sol
-    for gg in range(0, 13):
-        for r in range(0, 13):
-            branch = [2] * r
-            assert (
-                epi_orientable_boundary(gg, 1, branch, 2) - epi_plus_orientable_boundary(gg, 1, branch, 2)
-                == epsilon_h2_orientable(gg, r)
-            )
-            if gg >= 1:
-                assert (
-                    epi_nonorientable_boundary(gg, 1, branch, 2)
-                    - epi_plus_nonorientable_boundary(gg, 1, branch, 2)
-                    == epsilon_h2_nonorientable(gg, r)
-                )
+    checks = suite_integrality(g_max=200) + suite_specialization(g_max=12, boundary_max=12)
     elapsed = time.perf_counter() - start
+    assert len(checks) == 4
+    assert [check for check in checks if not check.passed] == []
     assert elapsed < 30.0
     print("CRITERION 8: PASS - integrality, sandwich bounds (g <= 200), specialization (g <= 12)")

@@ -32,6 +32,8 @@ def test_census_row_validation() -> None:
     with pytest.raises(ValueError):
         CensusRow(2, 105, 9, 10)  # unsensed above sensed
     with pytest.raises(ValueError):
+        CensusRow(2, 105, 5, 3)  # rooted above 2n * sensed
+    with pytest.raises(ValueError):
         CensusRow(0, 1, 1, 1)
 
 
