@@ -7,8 +7,9 @@ self-verification suites (formula vs. oracle vs. frozen data).
 
 The suites are the public `suite_*` functions below, each returning a list
 of `Check` records; `verify`, the acceptance tests and the oracle demo all
-call them, and each fact is checked by exactly one suite. `count` and
-`table` accept genera up to MAX_GENUS.
+call them, and each fact is checked by exactly one suite; `verify` prints
+each suite's line as soon as that suite returns. `count`, `table` and
+`orbifolds` accept genera up to MAX_GENUS.
 
 Output is deterministic. JSON serializes every number as a decimal string
 so arbitrarily large counts round-trip; CSV uses no quoting and ends with a
@@ -189,6 +190,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_orbifolds(args: argparse.Namespace) -> int:
     if args.genus < 2:
         return _usage_error("orbifold signatures require --genus >= 2")
+    if args.genus > MAX_GENUS:
+        return _usage_error(f"--genus is capped at {MAX_GENUS}")
     solutions = solve_closed_orbifolds(args.genus)
     headers = ("g", "l", "genus", "ns", "nv", "epsilon")
     rows = [
@@ -412,18 +415,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # n = 3 is the smallest cubic map on either kind of surface
         return _usage_error("the oracle needs --max-edges-orientable >= 3 and --max-edges-full >= 3")
 
-    suites: List[Tuple[str, List[Check]]] = [
-        ("oracle-equivalence", suite_oracle_equivalence(max_o, max_f)),
-        ("integrality", suite_integrality()),
-        ("specialization", suite_specialization()),
-        ("table-reproduction", suite_tables()),
-    ]
+    runs: Tuple[Tuple[str, Callable[[], List[Check]]], ...] = (
+        ("oracle-equivalence", lambda: suite_oracle_equivalence(max_o, max_f)),
+        ("integrality", suite_integrality),
+        ("specialization", suite_specialization),
+        ("table-reproduction", suite_tables),
+    )
 
+    suites: List[Tuple[str, List[Check]]] = []
     first_failure: Optional[Check] = None
-    for name, checks in suites:
+    for name, run in runs:
+        checks = run()
+        suites.append((name, checks))
         ok = all(c.passed for c in checks)
         unit = "check" if len(checks) == 1 else "checks"
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({len(checks)} {unit})")
+        print(f"{name}: {'PASS' if ok else 'FAIL'} ({len(checks)} {unit})", flush=True)
         if not ok and first_failure is None:
             first_failure = next(c for c in checks if not c.passed)
 

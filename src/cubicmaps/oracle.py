@@ -35,12 +35,21 @@ flanking side matched, so it is a finished vertex). Branches die early when
 a class closes with a size outside the allowed degree set or an open class
 outgrows the largest allowed degree. Counts fixed by a symmetry reuse the
 same search, forcing the whole symmetry orbit of every placed pair at once.
+
+A search returns the histogram of the invariants (orientable, genus,
+degrees) of the gluings it reaches, and each count sums the histogram
+entries its surface and degree filter accept. The pruning hint depends only
+on (n, twist mode, degree set), so the identity tree of such a triple is
+walked once per process and cached: rooted, precubic and Burnside-identity
+queries all read the same histogram.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactnum import BigCount, exact_quotient
 from .rooted_counts import SurfaceClass
@@ -52,6 +61,8 @@ DEFAULT_MAX_EDGES_ORIENTABLE = 9
 DEFAULT_MAX_EDGES_FULL = 6
 
 DegreeFilter = Callable[[Tuple[int, ...]], bool]
+# (orientable, genus, sorted vertex degrees) -> number of gluings with those invariants
+InvariantHistogram = Counter[Tuple[bool, int, Tuple[int, ...]]]
 
 
 class EnumerationLimitError(ValueError):
@@ -196,16 +207,14 @@ class _CornerClasses:
 def _count_search(
     n: int,
     allow_twists: bool,
-    accept: Callable[[bool, int, Tuple[int, ...]], bool],
-    allowed_degrees: Optional[FrozenSet[int]],
+    allowed_degrees: Optional[AbstractSet[int]],
     symmetry: Optional[Sequence[int]] = None,
-) -> int:
-    """Count gluings of the 2n-gon passing `accept`, optionally fixed by a symmetry.
+) -> InvariantHistogram:
+    """Histogram of (orientable, genus, degrees) over the gluings of the 2n-gon, optionally fixed by a symmetry.
 
-    accept(orientable, genus, degrees) sees the final invariants.
-    allowed_degrees is a pruning hint: a superset of every vertex degree any
-    accepted gluing may have. symmetry is a side permutation; a counted
-    gluing must be fixed by it, twist bits carried unchanged.
+    allowed_degrees is a pruning hint: gluings with a vertex degree outside
+    it are not reached. symmetry is a side permutation; a reached gluing
+    must be fixed by it, twist bits carried unchanged.
     """
     two_n = 2 * n
     partner = [-1] * two_n
@@ -254,25 +263,24 @@ def _count_search(
             if not place(a, b, twist, placed):
                 return False
 
-    total = 0
+    histogram: InvariantHistogram = Counter()
 
-    def finish() -> int:
+    def finish() -> None:
         roots = [c for c in range(two_n) if classes.parent[c] == c]
         degrees = tuple(sorted(classes.size[r] for r in roots))
         orientable = not any(twist_of[s] for s in range(two_n))
         chi = len(roots) - n + 1
         genus = (2 - chi) // 2 if orientable else 2 - chi
-        return 1 if accept(orientable, genus, degrees) else 0
+        histogram[orientable, genus, degrees] += 1
 
     def search() -> None:
-        nonlocal total
         first = -1
         for s in range(two_n):
             if partner[s] == -1:
                 first = s
                 break
         if first == -1:
-            total += finish()
+            finish()
             return
         for j in range(first + 1, two_n):
             if partner[j] != -1:
@@ -285,7 +293,30 @@ def _count_search(
                 unplace(placed, mark)
 
     search()
-    return total
+    return histogram
+
+
+@functools.lru_cache(maxsize=16)
+def _identity_histogram(n: int, allow_twists: bool, allowed_degrees: Optional[FrozenSet[int]]) -> InvariantHistogram:
+    """The search without a symmetry of one (n, twist mode, degree set), walked once per process.
+
+    Callers only read the shared result. 16 entries hold every identity tree
+    of `verify --max-edges-full 8`, and the queries of one tree come one
+    after another, so the bound costs no walk while keeping memory bounded.
+    """
+    return _count_search(n, allow_twists, allowed_degrees)
+
+
+def _histogram(
+    n: int,
+    allow_twists: bool,
+    allowed_degrees: Optional[AbstractSet[int]],
+    symmetry: Optional[Sequence[int]] = None,
+) -> InvariantHistogram:
+    """The invariant histogram of one search; the identity (symmetry None) is read from the per-process cache."""
+    if symmetry is None:
+        return _identity_histogram(n, allow_twists, None if allowed_degrees is None else frozenset(allowed_degrees))
+    return _count_search(n, allow_twists, allowed_degrees, symmetry)
 
 
 # ============================================================
@@ -305,13 +336,15 @@ def _check_limit(n: int, full_mode: bool, max_edges: Optional[int]) -> None:
         )
 
 
-def _surface_accept(surface: SurfaceClass, degree_filter: Optional[DegreeFilter]):
-    def accept(orientable: bool, genus: int, degrees: Tuple[int, ...]) -> bool:
-        if orientable != surface.orientable or genus != surface.genus:
-            return False
-        return degree_filter is None or degree_filter(degrees)
-
-    return accept
+def _tally(histogram: InvariantHistogram, surface: SurfaceClass, degree_filter: Optional[DegreeFilter]) -> int:
+    """The number of gluings in `histogram` on `surface` whose degrees pass `degree_filter`."""
+    return sum(
+        count
+        for (orientable, genus, degrees), count in histogram.items()
+        if orientable == surface.orientable
+        and genus == surface.genus
+        and (degree_filter is None or degree_filter(degrees))
+    )
 
 
 def count_rooted(
@@ -328,7 +361,7 @@ def count_rooted(
     """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
-    return _count_search(n, full_mode, _surface_accept(surface, degree_filter), allowed_degrees)
+    return _tally(_histogram(n, full_mode, allowed_degrees), surface, degree_filter)
 
 
 def _burnside(
@@ -339,15 +372,21 @@ def _burnside(
     max_edges: Optional[int],
     with_reflections: bool,
 ) -> BigCount:
-    """Average over the 2n rotations, and the 2n reflections s -> c - s if asked, of the fixed gluings."""
+    """Average over the 2n rotations, and the 2n reflections s -> c - s if asked, of the fixed gluings.
+
+    The identity rotation (None) reads the cached identity tree that rooted
+    counts share; every other symmetry runs its own, much smaller, search.
+    """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
-    accept = _surface_accept(surface, degree_filter)
     two_n = 2 * n
-    symmetries = [[(s + d) % two_n for s in range(two_n)] for d in range(two_n)]
+    symmetries: List[Optional[List[int]]] = [None]
+    symmetries += [[(s + d) % two_n for s in range(two_n)] for d in range(1, two_n)]
     if with_reflections:
         symmetries += [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
-    fixed_total = sum(_count_search(n, full_mode, accept, allowed_degrees, perm) for perm in symmetries)
+    fixed_total = sum(
+        _tally(_histogram(n, full_mode, allowed_degrees, perm), surface, degree_filter) for perm in symmetries
+    )
     return exact_quotient(fixed_total, len(symmetries), f"Burnside sum over a group of order {len(symmetries)}")
 
 

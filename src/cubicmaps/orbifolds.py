@@ -146,17 +146,13 @@ def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
     for l in range(2, bound + 1):
         if (6 * g - 6) % l != 0:
             continue
+        # gg <= (g + l - 1) / l keeps rest >= 0
         for gg in range(1, (g + l - 1) // l + 1):
             rest = (6 * g - 6) // l - 6 * gg + 6
-            if rest < 0:
-                continue
-            for n_v in range(rest // 4 + 1):
-                if (rest - 4 * n_v) % 3 != 0:
-                    continue
+            # 4 n_v = rest - 3 n_s forces n_v = rest (mod 3); n_v > 0 needs 3 | l
+            for n_v in range(rest % 3, (rest // 4 if l % 3 == 0 else 0) + 1, 3):
                 n_s = (rest - 4 * n_v) // 3
                 if n_s > 0 and l % 2 != 0:
-                    continue
-                if n_v > 0 and l % 3 != 0:
                     continue
                 out.append(SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
     out.sort(key=lambda s: (s.l, s.genus, s.n_s, s.n_v))

@@ -254,6 +254,13 @@ def test_orbifolds_rejects_small_genus(capsys) -> None:
     assert _run(capsys, "orbifolds", "--genus", "1")[0] == 2
 
 
+def test_orbifolds_rejects_genus_past_the_cap(capsys) -> None:
+    code, out, err = _run(capsys, "orbifolds", "--genus", "2001")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --genus is capped at {cli.MAX_GENUS}\n"
+
+
 def test_module_entry_point() -> None:
     result = subprocess.run(
         [sys.executable, "-m", "cubicmaps", "count", "--surface", "orientable", "--genus", "3", "--kind", "rooted"],
@@ -303,6 +310,24 @@ def test_verify_defaults_pass(capsys, tmp_path) -> None:
             assert isinstance(node, (str, bool)), node
 
     walk(report)
+
+
+def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> None:
+    printed_before_integrality = []
+
+    def integrality() -> list:
+        printed_before_integrality.append(capsys.readouterr().out)
+        return [cli.Check("integrality stand-in", "ok", "ok", True)]
+
+    monkeypatch.setattr(cli, "suite_integrality", integrality)
+    assert main(["verify", "--max-edges-orientable", "3", "--max-edges-full", "3"]) == 0
+    assert printed_before_integrality == ["oracle-equivalence: PASS (10 checks)\n"]
+    assert capsys.readouterr().out.splitlines() == [
+        "integrality: PASS (1 check)",
+        "specialization: PASS (3 checks)",
+        "table-reproduction: PASS (3 checks)",
+        "all verification suites passed",
+    ]
 
 
 def test_verify_reports_first_failure(capsys, monkeypatch) -> None:

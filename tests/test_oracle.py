@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from cubicmaps import oracle
 from cubicmaps.oracle import (
     EnumerationLimitError,
     MapInvariants,
@@ -140,3 +141,43 @@ def test_sensed_counts_sandwiched() -> None:
             rooted = count_rooted(n, SurfaceClass(True, g))
             sensed = count_sensed_orientable(n, g)
             assert Fraction(rooted, 2 * n) <= sensed <= rooted
+
+
+def _precubic_queries():
+    # every (n, surface, leaves) the precubic count can be asked about, n <= 6 twisted and n <= 7 orientable
+    queries = [(n, SurfaceClass(False, g), k) for n in range(1, 7) for g in range(1, n + 1) for k in range(2 * n + 1)]
+    queries += [(n, SurfaceClass(True, g), k) for n in range(1, 8) for g in range(n // 2 + 1) for k in range(2 * n + 1)]
+    return queries
+
+
+def test_shared_identity_search_is_order_independent() -> None:
+    queries = _precubic_queries()
+    oracle._identity_histogram.cache_clear()
+    forward = [count_precubic(n, surface, k, max_edges=7) for n, surface, k in queries]
+    oracle._identity_histogram.cache_clear()
+    backward = [count_precubic(n, surface, k, max_edges=7) for n, surface, k in reversed(queries)]
+    assert forward == backward[::-1]
+    assert sum(forward) > 0
+
+
+def test_rooted_and_burnside_identity_walk_one_tree() -> None:
+    oracle._identity_histogram.cache_clear()
+    surface = SurfaceClass(False, 3)
+    assert count_rooted(6, surface, _is_cubic, _CUBIC) == 128
+    assert count_unsensed(6, surface, _is_cubic, _CUBIC) == 11
+    info = oracle._identity_histogram.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_limit_holds_on_a_warm_cache() -> None:
+    surface = SurfaceClass(False, 2)
+    assert count_rooted(7, surface, _is_cubic, _CUBIC, max_edges=7) == 0
+    with pytest.raises(EnumerationLimitError):
+        count_rooted(7, surface, _is_cubic, _CUBIC)
+    with pytest.raises(EnumerationLimitError):
+        count_unsensed(7, surface, _is_cubic, _CUBIC)
+
+
+def test_allowed_degrees_may_be_a_plain_set() -> None:
+    surface = SurfaceClass(True, 2)
+    assert count_rooted(9, surface, _is_cubic, {3}) == count_rooted(9, surface, _is_cubic, frozenset({3})) == 105

@@ -107,6 +107,40 @@ def test_solve_closed_orbifolds_sorted_and_consistent() -> None:
             assert s.epsilon == epsilon_hl(s.l, s.genus, s.n_s, s.n_v)
 
 
+def reference_closed_signatures(g: int) -> list:
+    """The signature solver as first written: every n_v tried, every gg tried."""
+    out = []
+    bound = 2 * g - 2 if g % 2 == 0 else 2 * g
+    for l in range(2, bound + 1):
+        if (6 * g - 6) % l != 0:
+            continue
+        for gg in range(1, (g + l - 1) // l + 1):
+            rest = (6 * g - 6) // l - 6 * gg + 6
+            if rest < 0:
+                continue
+            for n_v in range(rest // 4 + 1):
+                if (rest - 4 * n_v) % 3 != 0:
+                    continue
+                n_s = (rest - 4 * n_v) // 3
+                if n_s > 0 and l % 2 != 0:
+                    continue
+                if n_v > 0 and l % 3 != 0:
+                    continue
+                out.append((l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "genera",
+    [range(2, 301), range(1150, 1174), (1999, 2000)],
+    ids=["2..300", "1150..1173", "1999-2000"],
+)
+def test_solve_closed_orbifolds_matches_reference_loop(genera) -> None:
+    for g in genera:
+        got = [(s.l, s.genus, s.n_s, s.n_v, s.epsilon) for s in solve_closed_orbifolds(g)]
+        assert got == reference_closed_signatures(g), g
+
+
 def test_epsilon_hl_cases() -> None:
     # odd period
     assert epsilon_hl(3, 1, 0, 2) == 8
