@@ -6,9 +6,9 @@ counts by orbit counting: a symmetry of period l contributes quotient maps on
 an orbifold, weighted by an epimorphism coefficient, and the weighted
 contributions average out over the possible rootings.
 
-Everything is evaluated in exact rational arithmetic and asserted integral at
-the end; the fractional prefactors (1/2, 1/4, 1/(4(3g-3))) make floating
-point unacceptable and integrality a free correctness check.
+The correction sums are integer Horner chains (hypergeometric_sum), and each
+prefactor (1/2, 1/4, 1/(4(3g-3))) is divided out by exact_quotient or
+require_integer, which raise on a remainder: a free correctness check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .orbifolds import (
     solve_closed_orbifolds,
 )
 from .rooted_counts import (
-    _cubic_nonorientable_formula,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -172,10 +171,12 @@ def unsensed_cubic_orientable(g: int) -> BigCount:
     """Count cubic one-face maps on the orientable genus-g surface up to all homeomorphisms.
 
     Half of (sensed count + two reflection-quotient terms): the orientable
-    quotient contributes the rooted count at genus g/2 (zero for odd g), the
-    non-orientable quotient the closed-form non-orientable rooted count at
-    genus g. The latter is the raw formula value, which is 1 at g=1: the
-    degenerate edgeless quotient still represents one reflection class there.
+    quotient contributes the rooted count at genus g/2 (zero for odd g). The
+    non-orientable one is the period-2 quotient without branch points of a
+    surface of Euler characteristic 2-2g, in covering-genus form
+    precubic_nonorientable_by_genus_pair(2g, g): a leafless map on g
+    crosscaps. At g=1 that is the formal value 1: the edgeless quotient still
+    represents one reflection class there.
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
@@ -185,7 +186,8 @@ def unsensed_cubic_orientable(g: int) -> BigCount:
 def _unsensed_from_sensed(g: int, sensed: BigCount) -> BigCount:
     """The unsensed orientable count at genus g >= 1, given the sensed count there."""
     halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
-    return exact_quotient(sensed + halved + _cubic_nonorientable_formula(g), 2, f"unsensed orientable count at g={g}")
+    reflected = precubic_nonorientable_by_genus_pair(2 * g, g)
+    return exact_quotient(sensed + halved + reflected, 2, f"unsensed orientable count at g={g}")
 
 
 # ============================================================

@@ -9,7 +9,8 @@ The suites are the public `suite_*` functions below, each returning a list
 of `Check` records; `verify`, the acceptance tests and the oracle demo all
 call them, and each fact is checked by exactly one suite; `verify` prints
 each suite's line as soon as that suite returns. `count`, `table` and
-`orbifolds` accept genera up to MAX_GENUS.
+`orbifolds` accept genera up to MAX_GENUS, and `verify` edge limits up to
+MAX_EDGES_ORIENTABLE and MAX_EDGES_FULL.
 
 Output is deterministic. JSON serializes every number as a decimal string
 so arbitrarily large counts round-trip; CSV uses no quoting and ends with a
@@ -71,6 +72,10 @@ _CUBIC_DEGREES = frozenset({3})
 
 # The non-orientable unsensed count takes about 4 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
+# Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
+# takes about 2.5 min at --max-edges-full 10 and 6 min at --max-edges-orientable 13.
+MAX_EDGES_FULL = 10
+MAX_EDGES_ORIENTABLE = 13
 
 
 def _is_cubic(degrees: Tuple[int, ...]) -> bool:
@@ -414,6 +419,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if max_o < 3 or max_f < 3:
         # n = 3 is the smallest cubic map on either kind of surface
         return _usage_error("the oracle needs --max-edges-orientable >= 3 and --max-edges-full >= 3")
+    if max_o > MAX_EDGES_ORIENTABLE or max_f > MAX_EDGES_FULL:
+        caps = f"--max-edges-orientable at {MAX_EDGES_ORIENTABLE} and --max-edges-full at {MAX_EDGES_FULL}"
+        return _usage_error(f"the oracle caps {caps}")
 
     runs: Tuple[Tuple[str, Callable[[], List[Check]]], ...] = (
         ("oracle-equivalence", lambda: suite_oracle_equivalence(max_o, max_f)),

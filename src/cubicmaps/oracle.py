@@ -97,18 +97,13 @@ class PolygonGluing:
 
 
 @dataclass(frozen=True)
-class MapInvariants:
-    """Classification of a glued polygon: orientability, genus, sorted vertex degrees."""
+class MapInvariants(SurfaceClass):
+    """Classification of a glued polygon: its surface plus the sorted vertex degrees."""
 
-    orientable: bool
-    genus: int
     degrees: Tuple[int, ...]
 
     def vertex_count(self) -> int:
         return len(self.degrees)
-
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus if self.orientable else 2 - self.genus
 
 
 def _corner_links(i: int, j: int, twist: bool, two_n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:

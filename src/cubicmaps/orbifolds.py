@@ -183,6 +183,8 @@ def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> BigCount:
 # count order-preserving (epi) and orientation-and-order-preserving
 # (epi_plus) epimorphisms onto a cyclic group. They are implemented as
 # printed, for the stated parities only, and exercised by cross-check tests.
+# The boundary forms see the orbifold only through a rank: 2gg+h-1 for an
+# orientable orbifold with h >= 1 boundaries, gg+h-1 for a non-orientable one.
 
 
 def _phi_product(branch_indices: Sequence[int]) -> BigCount:
@@ -192,61 +194,51 @@ def _phi_product(branch_indices: Sequence[int]) -> BigCount:
     return out
 
 
-def epi_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
-    """Order-preserving epimorphisms onto Z_l, orientable orbifold, h >= 1 boundaries, even l.
+def _epi_boundary(rank: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
+    """Order-preserving epimorphisms onto Z_l, even l, from a bordered orbifold group of that rank.
 
-    (m')^{2gg+h-1} J_{2gg+h-1}(l/m') prod phi(m_i) with m' = lcm(2, m_1..m_r).
+    (m')^rank J_rank(l/m') prod phi(m_i) with m' = lcm(2, m_1..m_r).
     """
     if h < 1:
         raise ValueError("the boundary form requires h >= 1")
     if l % 2 != 0:
         raise ValueError("the order-preserving boundary form is stated for even l")
     mp = lcm_list([2, *branch_indices])
-    k = 2 * gg + h - 1
-    return mp ** k * jordan_totient_or_zero(k, l, mp) * _phi_product(branch_indices)
+    return mp ** rank * jordan_totient_or_zero(rank, l, mp) * _phi_product(branch_indices)
 
 
-def epi_plus_orientable_boundary(
-    gg: int, h: int, branch_indices: Sequence[int], group_order: int
-) -> BigCount:
-    """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, orientable orbifold.
+def _epi_plus_boundary(rank: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+    """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, from a bordered orbifold group.
 
-    `group_order` is 2l. Count: m^{2gg+h-1} J_{2gg+h-1}(l/m) prod phi(m_i)
-    with m = lcm(m_1..m_r).
+    `group_order` is 2l. Count: m^rank J_rank(l/m) prod phi(m_i) with
+    m = lcm(m_1..m_r).
     """
     if h < 1:
         raise ValueError("the boundary form requires h >= 1")
     if group_order % 2 != 0 or (group_order // 2) % 2 != 1:
         raise ValueError("the orientation-preserving boundary form is stated for group order 2l, l odd")
-    l = group_order // 2
     m = lcm_list(branch_indices)
-    k = 2 * gg + h - 1
-    return m ** k * jordan_totient_or_zero(k, l, m) * _phi_product(branch_indices)
+    return m ** rank * jordan_totient_or_zero(rank, group_order // 2, m) * _phi_product(branch_indices)
+
+
+def epi_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
+    """Order-preserving epimorphisms onto Z_l, even l, orientable orbifold with h >= 1 boundaries."""
+    return _epi_boundary(2 * gg + h - 1, h, branch_indices, l)
+
+
+def epi_plus_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+    """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, orientable orbifold."""
+    return _epi_plus_boundary(2 * gg + h - 1, h, branch_indices, group_order)
 
 
 def epi_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
-    """Same as epi_orientable_boundary for a non-orientable orbifold: exponent gg+h-1."""
-    if h < 1:
-        raise ValueError("the boundary form requires h >= 1")
-    if l % 2 != 0:
-        raise ValueError("the order-preserving boundary form is stated for even l")
-    mp = lcm_list([2, *branch_indices])
-    k = gg + h - 1
-    return mp ** k * jordan_totient_or_zero(k, l, mp) * _phi_product(branch_indices)
+    """Order-preserving epimorphisms onto Z_l, even l, non-orientable orbifold with h >= 1 boundaries."""
+    return _epi_boundary(gg + h - 1, h, branch_indices, l)
 
 
-def epi_plus_nonorientable_boundary(
-    gg: int, h: int, branch_indices: Sequence[int], group_order: int
-) -> BigCount:
-    """Same as epi_plus_orientable_boundary for a non-orientable orbifold: exponent gg+h-1."""
-    if h < 1:
-        raise ValueError("the boundary form requires h >= 1")
-    if group_order % 2 != 0 or (group_order // 2) % 2 != 1:
-        raise ValueError("the orientation-preserving boundary form is stated for group order 2l, l odd")
-    l = group_order // 2
-    m = lcm_list(branch_indices)
-    k = gg + h - 1
-    return m ** k * jordan_totient_or_zero(k, l, m) * _phi_product(branch_indices)
+def epi_plus_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+    """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, non-orientable orbifold."""
+    return _epi_plus_boundary(gg + h - 1, h, branch_indices, group_order)
 
 
 def _reduced_half_reciprocal_denominator(branch_indices: Sequence[int]) -> int:

@@ -13,7 +13,7 @@ from cubicmaps.census import sensed_cubic_orientable, unsensed_cubic_orientable
 from cubicmaps.cli import main, suite_integrality, suite_oracle_equivalence, suite_specialization
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.oracle import count_rooted, count_sensed_orientable, count_unsensed
-from cubicmaps.rooted_counts import SurfaceClass, _cubic_nonorientable_formula, rooted_cubic_orientable
+from cubicmaps.rooted_counts import SurfaceClass, precubic_nonorientable_by_genus_pair, rooted_cubic_orientable
 
 _CUBIC = frozenset({3})
 
@@ -82,7 +82,7 @@ def test_criterion_4_cross_table_identity() -> None:
         left = (
             2 * unsensed_cubic_orientable(g)
             - sensed_cubic_orientable(g)
-            - _cubic_nonorientable_formula(g)
+            - precubic_nonorientable_by_genus_pair(2 * g, g)
         )
         right = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
         assert left == right, g

@@ -357,3 +357,21 @@ def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suit
 
 def test_verify_rejects_uncalibratable_limits(capsys) -> None:
     assert _run(capsys, "verify", "--max-edges-full", "2")[0] == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--max-edges-full", "11"), ("--max-edges-orientable", "14")])
+def test_verify_rejects_limits_past_the_cap(capsys, flag, value) -> None:
+    code, out, err = _run(capsys, "verify", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: the oracle caps --max-edges-orientable at 13 and --max-edges-full at 10\n"
+
+
+@pytest.mark.parametrize("max_o, max_f", [(13, 10), (9, 8)])
+def test_verify_accepts_limits_up_to_the_cap(capsys, monkeypatch, max_o, max_f) -> None:
+    limits = []
+    monkeypatch.setattr(cli, "suite_oracle_equivalence", lambda o, f: limits.append((o, f)) or [])
+    for name in ("suite_integrality", "suite_specialization", "suite_tables"):
+        monkeypatch.setattr(cli, name, lambda: [])
+    code, _, _ = _run(capsys, "verify", "--max-edges-orientable", str(max_o), "--max-edges-full", str(max_f))
+    assert code == 0
+    assert limits == [(max_o, max_f)]

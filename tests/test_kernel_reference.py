@@ -28,11 +28,11 @@ from cubicmaps.orbifolds import (
     solve_closed_orbifolds,
 )
 from cubicmaps.rooted_counts import (
-    _cubic_nonorientable_formula,
     c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
+    rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
 
@@ -47,6 +47,18 @@ GENERA = list(range(1, 81)) + [150, 201, 300]
 def reference_c_coefficient(h: int) -> Fraction:
     partial = sum(Fraction(binomial(2 * i, i), 16 ** i) for i in range(h))
     return Fraction(2 ** (2 * h - 2) * factorial(h), 3 ** (h - 1) * factorial(2 * h)) * partial
+
+
+def reference_rooted_cubic_orientable(g: int) -> int:
+    return require_integer(Fraction(2 * factorial(6 * g - 3), 12 ** g * factorial(g) * factorial(3 * g - 2)))
+
+
+def reference_rooted_cubic_nonorientable(g: int) -> int:
+    # the parity-split cubic forms, with the formal value 1 at g = 1
+    h = g // 2
+    if g % 2 == 0:
+        return require_integer(reference_c_coefficient(h) * Fraction(factorial(6 * h - 2), factorial(3 * h - 1)))
+    return require_integer(Fraction(2 ** (6 * h) * factorial(3 * h), 3 ** h * factorial(h)))
 
 
 def reference_precubic_by_leaves(gg: int, k: int) -> int:
@@ -97,7 +109,7 @@ def reference_precubic_by_genus_pair(g: int, gg: int) -> int:
 
 
 def reference_sensed(g: int) -> int:
-    total = Fraction(rooted_cubic_orientable(g), 2 * (6 * g - 3))
+    total = Fraction(reference_rooted_cubic_orientable(g), 2 * (6 * g - 3))
     for gg in range(g // 2 + 1):
         total += (
             Fraction(factorial(4 * g - 2 - 2 * gg), 2 * 3 ** gg * factorial(gg) * factorial(2 * g - 1 - gg))
@@ -125,8 +137,8 @@ def reference_sensed(g: int) -> int:
 
 
 def reference_unsensed(g: int) -> int:
-    halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
-    return require_integer(Fraction(reference_sensed(g) + halved + _cubic_nonorientable_formula(g), 2))
+    halved = reference_rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
+    return require_integer(Fraction(reference_sensed(g) + halved + reference_precubic_by_genus_pair(2 * g, g), 2))
 
 
 def reference_h2_term(g: int) -> Fraction:
@@ -172,6 +184,15 @@ def test_orientable_kernels_match_literal_sums(g: int) -> None:
 def test_nonorientable_terms_match_literal_sums(g: int) -> None:
     assert h2_term_nonorientable(g) == reference_h2_term(g)
     assert hl_term_nonorientable(g) == reference_hl_term(g)
+
+
+@pytest.mark.parametrize("g", GENERA)
+def test_rooted_cubic_counts_match_literal_forms(g: int) -> None:
+    assert rooted_cubic_orientable(g) == reference_rooted_cubic_orientable(g)
+    assert rooted_cubic_nonorientable(g) == (reference_rooted_cubic_nonorientable(g) if g >= 2 else 0)
+    # the reflection term of the unsensed orientable count is the leafless
+    # genus-pair quotient, the cubic non-orientable form at genus g
+    assert reference_precubic_by_genus_pair(2 * g, g) == reference_rooted_cubic_nonorientable(g)
 
 
 def test_c_coefficient_matches_literal_sum() -> None:

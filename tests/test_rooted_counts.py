@@ -9,7 +9,6 @@ import pytest
 from cubicmaps.golden import CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.rooted_counts import (
     SurfaceClass,
-    _cubic_nonorientable_formula,
     c_coefficient,
     covering_genus_orientable,
     precubic_edges_nonorientable,
@@ -61,7 +60,7 @@ def test_rooted_cubic_nonorientable_genus_one() -> None:
     # no cubic graph embeds in the projective plane with one face, but the
     # raw closed form evaluates to 1 there and the census assembly needs it
     assert rooted_cubic_nonorientable(1) == 0
-    assert _cubic_nonorientable_formula(1) == 1
+    assert precubic_nonorientable_by_genus_pair(2 * 1, 1) == 1
     with pytest.raises(ValueError):
         rooted_cubic_nonorientable(0)
 
