@@ -9,6 +9,12 @@ contributions average out over the possible rootings.
 The correction sums are integer Horner chains (hypergeometric_sum), and each
 prefactor (1/2, 1/4, 1/(4(3g-3))) is divided out by exact_quotient or
 require_integer, which raise on a remainder: a free correctness check.
+
+Both non-orientable correction terms come from one walk over their precubic
+quotient counts, sorted by (crosscaps, leaves) and holding one live count:
+neighbouring counts differ by a ratio of small integers, so each closed form
+is evaluated once per chain of consecutive leaf counts and every other count
+is an exact big-by-small step from the previous one.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (
     BigCount,
@@ -28,14 +34,16 @@ from .exactnum import (
     require_integer,
 )
 from .orbifolds import (
+    _closed_signatures,
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
+    epsilon_hl,
     h2_orbifold_family,
-    solve_closed_orbifolds,
 )
 from .rooted_counts import (
+    _nonorientable_leaf_step,
+    _orientable_gg_step,
     precubic_nonorientable_by_genus_pair,
-    precubic_nonorientable_by_leaves,
     precubic_orientable,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
@@ -200,20 +208,12 @@ def h2_term_nonorientable(g: int) -> ExactRational:
 
     Half the epsilon-weighted sum of precubic quotient counts over the
     period-2 orbifold family. Exact rational: integrality holds only for the
-    full assembly, not per term.
+    full assembly, not per term. Read from the walk that yields both
+    correction terms (_nonorientable_corrections).
     """
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    total = 0
-    for orb in h2_orbifold_family(g):
-        if orb.orientable:
-            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
-            quotients = precubic_orientable(g, orb.genus)
-        else:
-            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
-            quotients = precubic_nonorientable_by_genus_pair(g, orb.genus)
-        total += eps * quotients
-    return Fraction(total, 2)
+    return _nonorientable_corrections(g)[0]
 
 
 def hl_term_nonorientable(g: int) -> ExactRational:
@@ -226,32 +226,69 @@ def hl_term_nonorientable(g: int) -> ExactRational:
 
     Summands sharing a dart count 6g-6 + l*n_s share their denominator, so
     their integer numerators are added first and each distinct denominator
-    costs one reduction.
+    costs one reduction. The precubic counts come from the walk that yields
+    both correction terms (_nonorientable_corrections), one live value at a
+    time.
     """
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
+    return _nonorientable_corrections(g)[1]
+
+
+def _nonorientable_corrections(g: int) -> Tuple[ExactRational, ExactRational]:
+    """The period-2 and period-l terms at genus g >= 2 from one walk over the precubic counts.
+
+    Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
+    Every non-orientable quotient count, period-2 (gg, g-2gg) or closed
+    signature (gg, n_s+n_v) with nonzero epsilon, is a key (gg, k). The keys
+    are walked in (gg, k) order holding one live count: a repeated key reuses
+    it, a key one leaf past the last is one exact small-ratio step from it,
+    and any other key starts a new chain with one public precubic count. Each
+    contribution is added as soon as its count is known.
+
+    The edgeless key (1, 0) has the formal value 1, read by the period-2 term
+    at g = 2. It never occurs among the signatures: at gg = 1 they have
+    3 n_s + 4 n_v = (6g-6)/l > 0.
+    """
+    h2 = 0
+    keys: List[Tuple[int, int, int, int]] = []  # (gg, k, dart count or 0 for the period-2 term, weight)
+    quotients = 0
+    for orb in h2_orbifold_family(g):
+        if orb.orientable:
+            quotients = precubic_orientable(g, 0) if orb.genus == 0 else _orientable_gg_step(g, orb.genus, quotients)
+            h2 += epsilon_h2_orientable(orb.genus, orb.branch_points) * quotients
+        else:
+            keys.append((orb.genus, orb.branch_points, 0, epsilon_h2_nonorientable(orb.genus, orb.branch_points)))
+    for l, gg, n_s, n_v in _closed_signatures(g):
+        eps = epsilon_hl(l, gg, n_s, n_v)
+        if eps:
+            keys.append((gg, n_s + n_v, 6 * g - 6 + l * n_s, eps * binomial(n_s + n_v, n_s)))
+    keys.sort()
     by_darts: Dict[int, int] = defaultdict(int)
-    for sol in solve_closed_orbifolds(g):
-        if not sol.contributes:
-            continue
-        k = sol.n_s + sol.n_v
-        by_darts[6 * g - 6 + sol.l * sol.n_s] += (
-            sol.epsilon * binomial(k, sol.n_s) * precubic_nonorientable_by_leaves(sol.genus, k)
-        )
-    return sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
+    live_gg, live_k, value = 0, 0, 0
+    for gg, k, darts, weight in keys:
+        if (gg, k) != (live_gg, live_k):
+            if gg == live_gg and k == live_k + 1:
+                value = _nonorientable_leaf_step(gg, live_k, value)
+            else:
+                value = precubic_nonorientable_by_genus_pair(2 * gg + k, gg)
+            live_gg, live_k = gg, k
+        if darts:
+            by_darts[darts] += weight * value
+        else:
+            h2 += weight * value
+    hl = sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
+    return Fraction(h2, 2), hl
 
 
 def unsensed_cubic_nonorientable(g: int) -> BigCount:
     """Count cubic one-face maps on the non-orientable genus-g surface up to all homeomorphisms.
 
     Rooted count averaged over 4(3g-3) rootings, plus the period-2 and
-    period-l correction terms.
+    period-l correction terms, both from one walk (_nonorientable_corrections).
     """
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    total = (
-        Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3))
-        + h2_term_nonorientable(g)
-        + hl_term_nonorientable(g)
-    )
+    h2, hl = _nonorientable_corrections(g)
+    total = Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3)) + h2 + hl
     return require_integer(total, f"unsensed non-orientable count at g={g}")

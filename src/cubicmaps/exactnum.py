@@ -5,8 +5,7 @@ carry fractional prefactors are ``fractions.Fraction``. Everything downstream
 relies on two conventions fixed here:
 
   - a factorial of a negative integer appearing in a summand denominator is a
-    pole, and the whole summand vanishes (``factorial_or_zero_reciprocal``
-    applies it to one summand; the census kernels end each
+    pole, and the whole summand vanishes (the census kernels end each
     ``hypergeometric_sum`` chain before its first pole);
   - a Jordan totient evaluated at a non-integral argument is zero
     (``jordan_totient_or_zero``).
@@ -42,17 +41,6 @@ def factorial(n: int) -> BigCount:
     if n < 0:
         raise ValueError(f"factorial is undefined for negative n (got {n})")
     return math.factorial(n)
-
-
-def factorial_or_zero_reciprocal(n: int) -> ExactRational:
-    """Return 1/n! for n >= 0, and 0 for n < 0 (reciprocal-of-pole convention).
-
-    Summands containing a negative-argument factorial in the denominator are
-    defined to vanish; multiplying by this guard implements that totally.
-    """
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
 
 
 def binomial(n: int, k: int) -> BigCount:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from .exactnum import (
     BigCount,
@@ -131,17 +131,8 @@ class SignatureSolution:
         return [2] * self.n_s + [3] * self.n_v + [self.l]
 
 
-def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
-    """All closed-orbifold signatures for period-l symmetries, l >= 2, of genus g.
-
-    Solves 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v) subject to: l divides 6g-6 and
-    stays within the period bound (2g-2 for even g, 2g for odd g); gg in
-    [1, (g+l-1)//l]; n_s > 0 only for even l, n_v > 0 only for l divisible
-    by 3. Sorted by (l, gg, n_s, n_v). Empty for g < 2.
-    """
-    if g < 2:
-        return []
-    out: List[SignatureSolution] = []
+def _closed_signatures(g: int) -> Iterator[Tuple[int, int, int, int]]:
+    """The (l, gg, n_s, n_v) solving 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v), l >= 2, in loop order."""
     bound = 2 * g - 2 if g % 2 == 0 else 2 * g
     for l in range(2, bound + 1):
         if (6 * g - 6) % l != 0:
@@ -154,7 +145,26 @@ def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
                 n_s = (rest - 4 * n_v) // 3
                 if n_s > 0 and l % 2 != 0:
                     continue
-                out.append(SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
+                yield l, gg, n_s, n_v
+
+
+def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
+    """All closed-orbifold signatures for period-l symmetries, l >= 2, of genus g.
+
+    Solves 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v) subject to: l divides 6g-6 and
+    stays within the period bound (2g-2 for even g, 2g for odd g); gg in
+    [1, (g+l-1)//l]; n_s > 0 only for even l, n_v > 0 only for l divisible
+    by 3. Sorted by (l, gg, n_s, n_v), epsilon = 0 included. Empty for g < 2.
+
+    The census reads the same solutions straight from the solver's loops
+    (_closed_signatures) and keeps only those with nonzero epsilon, without
+    building these records.
+    """
+    if g < 2:
+        return []
+    out = [
+        SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)) for l, gg, n_s, n_v in _closed_signatures(g)
+    ]
     out.sort(key=lambda s: (s.l, s.genus, s.n_s, s.n_v))
     return out
 

@@ -13,7 +13,9 @@ non-orientable ones, and every public count is a range guard plus one call
 to it. The census reads the forms for the quotient maps of symmetries,
 whose branch points become leaves. Each form is one integer numerator over
 one integer denominator, divided with a remainder check (exact_quotient),
-so a wrong transcription raises instead of rounding.
+so a wrong transcription raises instead of rounding. Two private steps give
+the census a neighbouring count from a known one by a ratio of small
+integers, again with a remainder check.
 """
 
 from __future__ import annotations
@@ -88,6 +90,36 @@ def _nonorientable_form(gg: int, k: int) -> BigCount:
             context,
         )
     return exact_quotient(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k), context)
+
+
+def _orientable_gg_step(g: int, gg: int, value: BigCount) -> BigCount:
+    """precubic_orientable(g, gg) for gg >= 1 from value = precubic_orientable(g, gg-1).
+
+    Along k = g-4gg, m = g-gg-2 the ratio is
+    (k+1)(k+2)(k+3)(k+4)(m+1) / (12 gg (2m+2)(2m+3)): a big-by-small product
+    and an exact division, so a wrong ratio raises.
+    """
+    k, m = g - 4 * gg, g - gg - 2
+    return exact_quotient(
+        value * ((k + 1) * (k + 2) * (k + 3) * (k + 4) * (m + 1)),
+        12 * gg * (2 * m + 2) * (2 * m + 3),
+        f"precubic orientable count at (g={g}, gg={gg})",
+    )
+
+
+def _nonorientable_leaf_step(gg: int, k: int, value: BigCount) -> BigCount:
+    """_nonorientable_form(gg, k+1) from value = _nonorientable_form(gg, k).
+
+    The ratio is 4(k+1+3h) / (k+1) for odd gg = 2h+1 and
+    (2k+6h-1)(2k+6h-2) / ((k+1)(k+3h-1)) for even gg = 2h, applied as a
+    big-by-small product and an exact division, so a wrong ratio raises.
+    """
+    h = gg // 2
+    if gg % 2 == 0:
+        num, den = (2 * k + 6 * h - 1) * (2 * k + 6 * h - 2), (k + 1) * (k + 3 * h - 1)
+    else:
+        num, den = 4 * (k + 1 + 3 * h), k + 1
+    return exact_quotient(value * num, den, f"precubic non-orientable count at (gg={gg}, k={k + 1})")
 
 
 def c_coefficient(h: int) -> ExactRational:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,19 @@ from cubicmaps.census import (
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
 )
+from cubicmaps.exactnum import binomial
 from cubicmaps.golden import CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
+from cubicmaps.orbifolds import (
+    epsilon_h2_nonorientable,
+    epsilon_h2_orientable,
+    epsilon_hl,
+    h2_orbifold_family,
+    solve_closed_orbifolds,
+)
 from cubicmaps.rooted_counts import (
     precubic_nonorientable_by_genus_pair,
+    precubic_nonorientable_by_leaves,
+    precubic_orientable,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
@@ -80,6 +91,36 @@ def test_symmetric_map_terms_small_genus() -> None:
     assert hl_term_nonorientable(2) == Fraction(1, 2)
     assert h2_term_nonorientable(3) == Fraction(5)
     assert hl_term_nonorientable(3) == Fraction(2, 3)
+
+
+def per_summand_h2_term(g: int) -> Fraction:
+    total = 0
+    for orb in h2_orbifold_family(g):
+        if orb.orientable:
+            total += epsilon_h2_orientable(orb.genus, orb.branch_points) * precubic_orientable(g, orb.genus)
+        else:
+            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
+            total += eps * precubic_nonorientable_by_genus_pair(g, orb.genus)
+    return Fraction(total, 2)
+
+
+def per_summand_hl_term(g: int) -> Fraction:
+    by_darts = defaultdict(int)
+    for sol in solve_closed_orbifolds(g):
+        eps = epsilon_hl(sol.l, sol.genus, sol.n_s, sol.n_v)
+        k = sol.n_s + sol.n_v
+        quotients = precubic_nonorientable_by_leaves(sol.genus, k)
+        by_darts[6 * g - 6 + sol.l * sol.n_s] += eps * binomial(k, sol.n_s) * quotients
+    return sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("g", list(range(2, 61)) + [1160, 1161])
+def test_walked_terms_match_one_precubic_count_per_summand(g: int) -> None:
+    # The census walks the quotient counts as chains of exact small-ratio
+    # steps; these genera reach repeated keys, leaf steps, chain starts, the
+    # formal value at (1, 0) (g = 2) and both crosscap parities.
+    assert h2_term_nonorientable(g) == per_summand_h2_term(g)
+    assert hl_term_nonorientable(g) == per_summand_hl_term(g)
 
 
 def test_census_assembly_small_genus() -> None:

@@ -142,6 +142,7 @@ PAST_DIGIT_LIMIT = {
     ("orientable", "sensed", 627): "93371f953dee628d15b9eb4e1edb0bfd4514703a852b5f4d3b46c0f5bda0fbc0",
     ("orientable", "unsensed", 627): "3b905cb8c9aaad7d2c5c7027a61f58c31fc95468bfba81f6b819e8ff1cec1d0a",
     ("nonorientable", "unsensed", 1162): "aaf13e48fa58d46ce2883d80d05e776f082de512bc11233738d6aa9f02bb3502",
+    ("nonorientable", "unsensed", 1163): "e2a4a6f0088c47aee5bf6e8fe90cb7ca61ec2cc45e9374b42a6e1ac318d44b7d",
 }
 
 
@@ -151,7 +152,12 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize(
     "surface, kind, genus",
-    [("orientable", "sensed", 627), ("orientable", "unsensed", 627), ("nonorientable", "unsensed", 1162)],
+    [
+        ("orientable", "sensed", 627),
+        ("orientable", "unsensed", 627),
+        ("nonorientable", "unsensed", 1162),
+        ("nonorientable", "unsensed", 1163),
+    ],
 )
 def test_count_prints_past_the_digit_limit(capsys, surface, kind, genus) -> None:
     limit = sys.get_int_max_str_digits()

@@ -12,7 +12,6 @@ from cubicmaps.exactnum import (
     euler_phi,
     exact_quotient,
     factorial,
-    factorial_or_zero_reciprocal,
     hypergeometric_sum,
     jordan_totient_or_zero,
     lcm_list,
@@ -29,13 +28,6 @@ def test_factorial_matches_math() -> None:
 def test_factorial_rejects_negative() -> None:
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_factorial_or_zero_reciprocal() -> None:
-    assert factorial_or_zero_reciprocal(-3) == 0
-    assert factorial_or_zero_reciprocal(-1) == 0
-    assert factorial_or_zero_reciprocal(0) == 1
-    assert factorial_or_zero_reciprocal(5) == Fraction(1, 120)
 
 
 def test_binomial_values() -> None:

@@ -20,7 +20,7 @@ from cubicmaps.census import (
     sensed_cubic_orientable,
     unsensed_cubic_orientable,
 )
-from cubicmaps.exactnum import binomial, factorial, factorial_or_zero_reciprocal, require_integer
+from cubicmaps.exactnum import binomial, factorial, require_integer
 from cubicmaps.orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
@@ -31,7 +31,6 @@ from cubicmaps.rooted_counts import (
     c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
-    precubic_orientable,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
@@ -42,6 +41,13 @@ GENERA = list(range(1, 81)) + [150, 201, 300]
 # ============================================================
 # Reference formulas, summed literally
 # ============================================================
+
+
+def factorial_or_zero_reciprocal(n: int) -> Fraction:
+    """1/n! for n >= 0, and 0 for n < 0: a negative factorial in a denominator is a pole."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(1, factorial(n))
 
 
 def reference_c_coefficient(h: int) -> Fraction:
@@ -59,6 +65,14 @@ def reference_rooted_cubic_nonorientable(g: int) -> int:
     if g % 2 == 0:
         return require_integer(reference_c_coefficient(h) * Fraction(factorial(6 * h - 2), factorial(3 * h - 1)))
     return require_integer(Fraction(2 ** (6 * h) * factorial(3 * h), 3 ** h * factorial(h)))
+
+
+def reference_precubic_orientable(g: int, gg: int) -> int:
+    # 2 (2m+1)! / (12^gg gg! m! k!) with k = g-4gg leaves and m = g-gg-2
+    if gg < 0 or g < 4 * gg or g < gg + 2:
+        return 0
+    k, m = g - 4 * gg, g - gg - 2
+    return require_integer(Fraction(2 * factorial(2 * m + 1), 12 ** gg * factorial(gg) * factorial(m) * factorial(k)))
 
 
 def reference_precubic_by_leaves(gg: int, k: int) -> int:
@@ -146,7 +160,7 @@ def reference_h2_term(g: int) -> Fraction:
     for orb in h2_orbifold_family(g):
         if orb.orientable:
             eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
-            quotients = precubic_orientable(g, orb.genus)
+            quotients = reference_precubic_orientable(g, orb.genus)
         else:
             eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
             quotients = reference_precubic_by_genus_pair(g, orb.genus)
@@ -169,6 +183,13 @@ def reference_hl_term(g: int) -> Fraction:
 # ============================================================
 # Kernels == references
 # ============================================================
+
+
+def test_factorial_or_zero_reciprocal() -> None:
+    assert factorial_or_zero_reciprocal(-3) == 0
+    assert factorial_or_zero_reciprocal(-1) == 0
+    assert factorial_or_zero_reciprocal(0) == 1
+    assert factorial_or_zero_reciprocal(5) == Fraction(1, 120)
 
 
 @pytest.mark.parametrize("g", GENERA)
