@@ -39,7 +39,6 @@ from .rooted_counts import (
     SurfaceClass,
     c_coefficient,
     covering_genus_orientable,
-    precubic_edges_nonorientable,
     precubic_leaves_nonorientable,
     precubic_leaves_orientable,
     precubic_nonorientable_by_genus_pair,
@@ -76,7 +75,6 @@ __all__ = [
     "h2_orbifold_family",
     "nonorientable_census_row",
     "orientable_census_row",
-    "precubic_edges_nonorientable",
     "precubic_leaves_nonorientable",
     "precubic_leaves_orientable",
     "precubic_nonorientable_by_genus_pair",

@@ -78,10 +78,6 @@ MAX_EDGES_FULL = 10
 MAX_EDGES_ORIENTABLE = 13
 
 
-def _is_cubic(degrees: Tuple[int, ...]) -> bool:
-    return set(degrees) == {3}
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -265,17 +261,17 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
         n, surface = 6 * g - 3, SurfaceClass(True, g)
         push(
             f"cubic orientable genus {g} rooted (n={n})",
-            lambda n=n, s=surface: count_rooted(n, s, _is_cubic, _CUBIC_DEGREES, max_edges=max_o),
+            lambda n=n, s=surface: count_rooted(n, s, _CUBIC_DEGREES, max_edges=max_o),
             lambda g=g: rooted_cubic_orientable(g),
         )
         push(
             f"cubic orientable genus {g} sensed (n={n})",
-            lambda n=n, g=g: count_sensed_orientable(n, g, _is_cubic, _CUBIC_DEGREES, max_edges=max_o),
+            lambda n=n, g=g: count_sensed_orientable(n, g, _CUBIC_DEGREES, max_edges=max_o),
             lambda g=g: sensed_cubic_orientable(g),
         )
         push(
             f"cubic orientable genus {g} unsensed (n={n})",
-            lambda n=n, s=surface: count_unsensed(n, s, _is_cubic, _CUBIC_DEGREES, max_edges=max_o),
+            lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_o),
             lambda g=g: unsensed_cubic_orientable(g),
         )
         g += 1
@@ -284,12 +280,12 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
         n, surface = 3 * g - 3, SurfaceClass(False, g)
         push(
             f"cubic non-orientable genus {g} rooted (n={n})",
-            lambda n=n, s=surface: count_rooted(n, s, _is_cubic, _CUBIC_DEGREES, max_edges=max_f),
+            lambda n=n, s=surface: count_rooted(n, s, _CUBIC_DEGREES, max_edges=max_f),
             lambda g=g: rooted_cubic_nonorientable(g),
         )
         push(
             f"cubic non-orientable genus {g} unsensed (n={n})",
-            lambda n=n, s=surface: count_unsensed(n, s, _is_cubic, _CUBIC_DEGREES, max_edges=max_f),
+            lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_f),
             lambda g=g: unsensed_cubic_nonorientable(g),
         )
         g += 1

@@ -32,24 +32,29 @@ the search order is canonical and the space partitions deterministically by
 the first placed pair. Partial corner classes live in a union-find with an
 undo trail; a class whose link count equals its size is closed (every
 flanking side matched, so it is a finished vertex). Branches die early when
-a class closes with a size outside the allowed degree set or an open class
-outgrows the largest allowed degree. Counts fixed by a symmetry reuse the
+a class closes with a size outside the degree set or an open class
+outgrows the largest degree in it. Counts fixed by a symmetry reuse the
 same search, forcing the whole symmetry orbit of every placed pair at once.
 
 A search returns the histogram of the invariants (orientable, genus,
-degrees) of the gluings it reaches, and each count sums the histogram
-entries its surface and degree filter accept. The pruning hint depends only
-on (n, twist mode, degree set), so the identity tree of such a triple is
-walked once per process and cached: rooted, precubic and Burnside-identity
-queries all read the same histogram.
+degrees) of the gluings it reaches. Each count sums the histogram entries on
+its surface, and a precubic count reads the one entry of its degree profile.
+The tree depends only on (n, twist mode, degree set), so the identity tree
+of such a triple is walked once per process and cached: rooted, precubic and
+Burnside-identity queries all read the same histogram.
+
+A Burnside sum searches once per class of symmetries with equal fixed counts
+and weights each result by the class size: one class of rotations by d per
+value of gcd(d, 2n), and two of reflections s -> c - s by the parity of c.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactnum import BigCount, exact_quotient
 from .rooted_counts import SurfaceClass
@@ -59,11 +64,6 @@ from .rooted_counts import SurfaceClass
 # ceiling explicitly through the max_edges arguments.
 DEFAULT_MAX_EDGES_ORIENTABLE = 9
 DEFAULT_MAX_EDGES_FULL = 6
-
-DegreeFilter = Callable[[Tuple[int, ...]], bool]
-# (orientable, genus, sorted vertex degrees) -> number of gluings with those invariants
-InvariantHistogram = Counter[Tuple[bool, int, Tuple[int, ...]]]
-
 
 class EnumerationLimitError(ValueError):
     """Raised when a requested edge count exceeds the configured search limit."""
@@ -106,50 +106,15 @@ class MapInvariants(SurfaceClass):
         return len(self.degrees)
 
 
+# invariants -> number of gluings with them
+InvariantHistogram = Counter[MapInvariants]
+
+
 def _corner_links(i: int, j: int, twist: bool, two_n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """The two corner identifications induced by gluing sides i and j."""
     if twist:
         return ((i + 1) % two_n, (j + 1) % two_n), (i % two_n, j % two_n)
     return ((i + 1) % two_n, j % two_n), (i % two_n, (j + 1) % two_n)
-
-
-def classify(gluing: PolygonGluing) -> MapInvariants:
-    """Compute the surface and vertex degrees of a glued polygon.
-
-    Corner classes are the map vertices; the Euler relation v - n + 1 = chi
-    then pins the genus, with chi = 2-2g orientable and 2-g otherwise.
-    """
-    two_n = 2 * gluing.n
-    parent = list(range(two_n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), twist in zip(gluing.pairs, gluing.twists):
-        for (u, v) in _corner_links(i, j, twist, two_n):
-            parent[find(u)] = find(v)
-    sizes: dict = {}
-    for c in range(two_n):
-        r = find(c)
-        sizes[r] = sizes.get(r, 0) + 1
-    degrees = tuple(sorted(sizes.values()))
-    orientable = not any(gluing.twists)
-    chi = len(degrees) - gluing.n + 1
-    if orientable:
-        if chi % 2 != 0:
-            raise ArithmeticError(f"odd Euler characteristic {chi} for an untwisted gluing")
-        genus = (2 - chi) // 2
-    else:
-        genus = 2 - chi
-    return MapInvariants(orientable=orientable, genus=genus, degrees=degrees)
-
-
-# ============================================================
-# Search engine
-# ============================================================
 
 
 class _CornerClasses:
@@ -199,23 +164,50 @@ class _CornerClasses:
                 self.links[ra] -= self.links[rb] + 1
 
 
+def _invariants(classes: _CornerClasses, n: int, orientable: bool) -> MapInvariants:
+    """The invariants of a complete n-edge gluing whose corner links are all in `classes`.
+
+    Corner classes are the map vertices; the Euler relation v - n + 1 = chi
+    then pins the genus, with chi = 2-2g orientable and 2-g otherwise.
+    """
+    degrees = tuple(sorted(classes.size[c] for c, root in enumerate(classes.parent) if c == root))
+    chi = len(degrees) - n + 1
+    genus = (2 - chi) // 2 if orientable else 2 - chi
+    return MapInvariants(orientable=orientable, genus=genus, degrees=degrees)
+
+
+def classify(gluing: PolygonGluing) -> MapInvariants:
+    """Compute the surface and vertex degrees of a glued polygon."""
+    two_n = 2 * gluing.n
+    classes = _CornerClasses(two_n)
+    for (i, j), twist in zip(gluing.pairs, gluing.twists):
+        for (u, v) in _corner_links(i, j, twist, two_n):
+            classes.add_link(u, v)
+    return _invariants(classes, gluing.n, not any(gluing.twists))
+
+
+# ============================================================
+# Search engine
+# ============================================================
+
+
 def _count_search(
     n: int,
     allow_twists: bool,
-    allowed_degrees: Optional[AbstractSet[int]],
+    degrees: Optional[AbstractSet[int]],
     symmetry: Optional[Sequence[int]] = None,
 ) -> InvariantHistogram:
     """Histogram of (orientable, genus, degrees) over the gluings of the 2n-gon, optionally fixed by a symmetry.
 
-    allowed_degrees is a pruning hint: gluings with a vertex degree outside
-    it are not reached. symmetry is a side permutation; a reached gluing
+    degrees is a pruning set: gluings with a vertex degree outside it are
+    not reached. symmetry is a side permutation; a reached gluing
     must be fixed by it, twist bits carried unchanged.
     """
     two_n = 2 * n
     partner = [-1] * two_n
     twist_of = [False] * two_n
     classes = _CornerClasses(two_n)
-    max_degree = max(allowed_degrees) if allowed_degrees else 0
+    max_degree = max(degrees) if degrees else 0
     twist_options = (False, True) if allow_twists else (False,)
 
     def place(a: int, b: int, twist: bool, placed: List[int]) -> bool:
@@ -231,11 +223,11 @@ def _count_search(
         lo, hi = (a, b) if a < b else (b, a)
         for (u, v) in _corner_links(lo, hi, twist, two_n):
             root = classes.add_link(u, v)
-            if allowed_degrees is not None:
+            if degrees is not None:
                 s = classes.size[root]
                 if s > max_degree:
                     return False
-                if classes.links[root] == s and s not in allowed_degrees:
+                if classes.links[root] == s and s not in degrees:
                     return False
         return True
 
@@ -260,14 +252,6 @@ def _count_search(
 
     histogram: InvariantHistogram = Counter()
 
-    def finish() -> None:
-        roots = [c for c in range(two_n) if classes.parent[c] == c]
-        degrees = tuple(sorted(classes.size[r] for r in roots))
-        orientable = not any(twist_of[s] for s in range(two_n))
-        chi = len(roots) - n + 1
-        genus = (2 - chi) // 2 if orientable else 2 - chi
-        histogram[orientable, genus, degrees] += 1
-
     def search() -> None:
         first = -1
         for s in range(two_n):
@@ -275,7 +259,7 @@ def _count_search(
                 first = s
                 break
         if first == -1:
-            finish()
+            histogram[_invariants(classes, n, not any(twist_of))] += 1
             return
         for j in range(first + 1, two_n):
             if partner[j] != -1:
@@ -292,26 +276,26 @@ def _count_search(
 
 
 @functools.lru_cache(maxsize=16)
-def _identity_histogram(n: int, allow_twists: bool, allowed_degrees: Optional[FrozenSet[int]]) -> InvariantHistogram:
+def _identity_histogram(n: int, allow_twists: bool, degrees: Optional[FrozenSet[int]]) -> InvariantHistogram:
     """The search without a symmetry of one (n, twist mode, degree set), walked once per process.
 
     Callers only read the shared result. 16 entries hold every identity tree
     of `verify --max-edges-full 8`, and the queries of one tree come one
     after another, so the bound costs no walk while keeping memory bounded.
     """
-    return _count_search(n, allow_twists, allowed_degrees)
+    return _count_search(n, allow_twists, degrees)
 
 
 def _histogram(
     n: int,
     allow_twists: bool,
-    allowed_degrees: Optional[AbstractSet[int]],
+    degrees: Optional[AbstractSet[int]],
     symmetry: Optional[Sequence[int]] = None,
 ) -> InvariantHistogram:
     """The invariant histogram of one search; the identity (symmetry None) is read from the per-process cache."""
     if symmetry is None:
-        return _identity_histogram(n, allow_twists, None if allowed_degrees is None else frozenset(allowed_degrees))
-    return _count_search(n, allow_twists, allowed_degrees, symmetry)
+        return _identity_histogram(n, allow_twists, None if degrees is None else frozenset(degrees))
+    return _count_search(n, allow_twists, degrees, symmetry)
 
 
 # ============================================================
@@ -331,76 +315,74 @@ def _check_limit(n: int, full_mode: bool, max_edges: Optional[int]) -> None:
         )
 
 
-def _tally(histogram: InvariantHistogram, surface: SurfaceClass, degree_filter: Optional[DegreeFilter]) -> int:
-    """The number of gluings in `histogram` on `surface` whose degrees pass `degree_filter`."""
+def _tally(histogram: InvariantHistogram, surface: SurfaceClass) -> int:
+    """The number of gluings in `histogram` on `surface`."""
+    # No degree filter: the search checks each class as it closes, and a
+    # complete gluing has every class closed, so all its degrees are in the set.
     return sum(
         count
-        for (orientable, genus, degrees), count in histogram.items()
-        if orientable == surface.orientable
-        and genus == surface.genus
-        and (degree_filter is None or degree_filter(degrees))
+        for invariants, count in histogram.items()
+        if invariants.orientable == surface.orientable and invariants.genus == surface.genus
     )
 
 
 def count_rooted(
     n: int,
     surface: SurfaceClass,
-    degree_filter: Optional[DegreeFilter] = None,
-    allowed_degrees: Optional[FrozenSet[int]] = None,
+    degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
 ) -> BigCount:
     """Count rooted one-face maps with n edges on `surface` via direct enumeration.
 
     One gluing is one rooted map. Orientable surfaces enumerate matchings
     only; non-orientable surfaces enumerate matchings with twist bits.
+    With a `degrees` set, only maps whose vertex degrees all lie in it count.
     """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
-    return _tally(_histogram(n, full_mode, allowed_degrees), surface, degree_filter)
+    return _tally(_histogram(n, full_mode, degrees), surface)
 
 
 def _burnside(
     n: int,
     surface: SurfaceClass,
-    degree_filter: Optional[DegreeFilter],
-    allowed_degrees: Optional[FrozenSet[int]],
+    degrees: Optional[AbstractSet[int]],
     max_edges: Optional[int],
     with_reflections: bool,
 ) -> BigCount:
-    """Average over the 2n rotations, and the 2n reflections s -> c - s if asked, of the fixed gluings.
+    """Average the fixed gluings over the 2n rotations, and the 2n reflections s -> c - s if asked.
 
-    The identity rotation (None) reads the cached identity tree that rooted
-    counts share; every other symmetry runs its own, much smaller, search.
+    One search per class of equal fixed counts, weighted by the class size:
+    rotations by d with the same gcd(d, 2n) generate the same group, and a
+    rotation by e conjugates the reflection at c into the one at c + 2e.
+    The identity (None) reads the cached identity tree that rooted counts share.
     """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
     two_n = 2 * n
-    symmetries: List[Optional[List[int]]] = [None]
-    symmetries += [[(s + d) % two_n for s in range(two_n)] for d in range(1, two_n)]
+    rotations = Counter(math.gcd(d, two_n) for d in range(1, two_n))
+    classes = [(1, None)] + [(size, [(s + step) % two_n for s in range(two_n)]) for step, size in rotations.items()]
     if with_reflections:
-        symmetries += [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
-    fixed_total = sum(
-        _tally(_histogram(n, full_mode, allowed_degrees, perm), surface, degree_filter) for perm in symmetries
-    )
-    return exact_quotient(fixed_total, len(symmetries), f"Burnside sum over a group of order {len(symmetries)}")
+        classes += [(n, [(c - s) % two_n for s in range(two_n)]) for c in (0, 1)]
+    order = 4 * n if with_reflections else two_n
+    fixed_total = sum(size * _tally(_histogram(n, full_mode, degrees, symmetry), surface) for size, symmetry in classes)
+    return exact_quotient(fixed_total, order, f"Burnside sum over a group of order {order}")
 
 
 def count_sensed_orientable(
     n: int,
     genus: int,
-    degree_filter: Optional[DegreeFilter] = None,
-    allowed_degrees: Optional[FrozenSet[int]] = None,
+    degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
 ) -> BigCount:
     """Count orientable one-face maps with n edges up to rotation (Burnside over Z_2n)."""
-    return _burnside(n, SurfaceClass(orientable=True, genus=genus), degree_filter, allowed_degrees, max_edges, False)
+    return _burnside(n, SurfaceClass(orientable=True, genus=genus), degrees, max_edges, False)
 
 
 def count_unsensed(
     n: int,
     surface: SurfaceClass,
-    degree_filter: Optional[DegreeFilter] = None,
-    allowed_degrees: Optional[FrozenSet[int]] = None,
+    degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
 ) -> BigCount:
     """Count one-face maps with n edges on `surface` up to all homeomorphisms.
@@ -408,7 +390,7 @@ def count_unsensed(
     Burnside over the dihedral group of order 4n: the 2n rotations plus the
     2n reflections s -> c - s, twist bits carried unchanged.
     """
-    return _burnside(n, surface, degree_filter, allowed_degrees, max_edges, True)
+    return _burnside(n, surface, degrees, max_edges, True)
 
 
 def count_precubic(
@@ -423,11 +405,6 @@ def count_precubic(
     cubic_vertices, remainder = divmod(2 * n - leaves, 3)
     if remainder != 0 or cubic_vertices < 0:
         return 0
-    target = tuple(sorted([1] * leaves + [3] * cubic_vertices))
-    return count_rooted(
-        n,
-        surface,
-        degree_filter=lambda degrees: degrees == target,
-        allowed_degrees=frozenset({1, 3}),
-        max_edges=max_edges,
-    )
+    _check_limit(n, not surface.orientable, max_edges)
+    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}))
+    return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices)]

@@ -214,11 +214,6 @@ def _leaves(chi: int, e: int) -> Optional[int]:
     return twice_k // 2
 
 
-def precubic_edges_nonorientable(gg: int, k: int) -> int:
-    """Edge count of a non-orientable precubic one-face map with k leaves on genus gg."""
-    return 2 * k + 3 * gg - 3
-
-
 def precubic_leaves_nonorientable(gg: int, e: int) -> Optional[int]:
     """Leaf count forced by an edge count on non-orientable genus gg, or None."""
     return _leaves(2 - gg, e) if gg >= 1 else None

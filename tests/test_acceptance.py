@@ -18,10 +18,6 @@ from cubicmaps.rooted_counts import SurfaceClass, precubic_nonorientable_by_genu
 _CUBIC = frozenset({3})
 
 
-def _is_cubic(degrees) -> bool:
-    return set(degrees) == {3}
-
-
 def test_criterion_1_orientable_table_reproduction(capsys) -> None:
     start = time.perf_counter()
     code = main(["table", "--surface", "orientable", "--gmin", "1", "--gmax", "10", "--format", "csv"])
@@ -94,13 +90,13 @@ def test_criterion_4_cross_table_identity() -> None:
 def test_criterion_5_oracle_equivalence_orientable() -> None:
     start = time.perf_counter()
     torus = SurfaceClass(True, 1)
-    assert count_rooted(3, torus, _is_cubic, _CUBIC) == 1
-    assert count_sensed_orientable(3, 1, _is_cubic, _CUBIC) == 1
-    assert count_unsensed(3, torus, _is_cubic, _CUBIC) == 1
+    assert count_rooted(3, torus, _CUBIC) == 1
+    assert count_sensed_orientable(3, 1, _CUBIC) == 1
+    assert count_unsensed(3, torus, _CUBIC) == 1
     genus_two = SurfaceClass(True, 2)
-    assert count_rooted(9, genus_two, _is_cubic, _CUBIC) == 105
-    assert count_sensed_orientable(9, 2, _is_cubic, _CUBIC) == 9
-    assert count_unsensed(9, genus_two, _is_cubic, _CUBIC) == 8
+    assert count_rooted(9, genus_two, _CUBIC) == 105
+    assert count_sensed_orientable(9, 2, _CUBIC) == 9
+    assert count_unsensed(9, genus_two, _CUBIC) == 8
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print("CRITERION 5: PASS - oracle reproduces (1,1,1) at n=3 and (105,9,8) at n=9")
@@ -110,10 +106,10 @@ def test_criterion_6_oracle_equivalence_nonorientable() -> None:
     start = time.perf_counter()
     klein = SurfaceClass(False, 2)
     genus_three = SurfaceClass(False, 3)
-    assert count_rooted(3, klein, _is_cubic, _CUBIC) == 6
-    assert count_rooted(6, genus_three, _is_cubic, _CUBIC) == 128
-    assert count_unsensed(3, klein, _is_cubic, _CUBIC) == 2
-    assert count_unsensed(6, genus_three, _is_cubic, _CUBIC) == 11
+    assert count_rooted(3, klein, _CUBIC) == 6
+    assert count_rooted(6, genus_three, _CUBIC) == 128
+    assert count_unsensed(3, klein, _CUBIC) == 2
+    assert count_unsensed(6, genus_three, _CUBIC) == 11
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print("CRITERION 6: PASS - oracle reproduces rooted (6,128) and unsensed (2,11)")

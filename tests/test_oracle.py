@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from math import prod
 
 import pytest
@@ -20,10 +22,6 @@ from cubicmaps.oracle import (
 from cubicmaps.rooted_counts import SurfaceClass
 
 _CUBIC = frozenset({3})
-
-
-def _is_cubic(degrees) -> bool:
-    return set(degrees) == {3}
 
 
 def _double_factorial_odd(n: int) -> int:
@@ -65,6 +63,32 @@ def test_classify_klein_bottle_example() -> None:
     assert invariants.euler_characteristic() == 0
 
 
+def _matchings(sides):
+    if not sides:
+        yield ()
+        return
+    first, rest = sides[0], sides[1:]
+    for k, partner in enumerate(rest):
+        for tail in _matchings(rest[:k] + rest[k + 1 :]):
+            yield ((first, partner),) + tail
+
+
+def _all_gluings(n: int):
+    for pairs in _matchings(tuple(range(2 * n))):
+        for twists in itertools.product((False, True), repeat=n):
+            yield PolygonGluing(n, pairs, twists)
+
+
+def test_classify_agrees_with_the_search() -> None:
+    # each gluing classified on its own, against the histogram of the unpruned search
+    total = 0
+    for n in range(1, 5):
+        histogram = Counter(classify(gluing) for gluing in _all_gluings(n))
+        total += sum(histogram.values())
+        assert histogram == oracle._count_search(n, True, None)
+    assert total == 1814
+
+
 def test_completeness_partition_by_surface() -> None:
     # orientable matchings: (2n-1)!!; gluings with at least one twist:
     # (2n-1)!! (2^n - 1); each partitioned exactly by the classified surface
@@ -80,19 +104,19 @@ def test_completeness_partition_by_surface() -> None:
 
 
 def test_count_rooted_cubic_anchors() -> None:
-    assert count_rooted(3, SurfaceClass(True, 1), _is_cubic, _CUBIC) == 1
-    assert count_rooted(3, SurfaceClass(False, 2), _is_cubic, _CUBIC) == 6
-    assert count_rooted(6, SurfaceClass(False, 3), _is_cubic, _CUBIC) == 128
+    assert count_rooted(3, SurfaceClass(True, 1), _CUBIC) == 1
+    assert count_rooted(3, SurfaceClass(False, 2), _CUBIC) == 6
+    assert count_rooted(6, SurfaceClass(False, 3), _CUBIC) == 128
 
 
 def test_count_sensed_orientable_anchors() -> None:
-    assert count_sensed_orientable(3, 1, _is_cubic, _CUBIC) == 1
+    assert count_sensed_orientable(3, 1, _CUBIC) == 1
 
 
 def test_count_unsensed_anchors() -> None:
-    assert count_unsensed(3, SurfaceClass(True, 1), _is_cubic, _CUBIC) == 1
-    assert count_unsensed(3, SurfaceClass(False, 2), _is_cubic, _CUBIC) == 2
-    assert count_unsensed(6, SurfaceClass(False, 3), _is_cubic, _CUBIC) == 11
+    assert count_unsensed(3, SurfaceClass(True, 1), _CUBIC) == 1
+    assert count_unsensed(3, SurfaceClass(False, 2), _CUBIC) == 2
+    assert count_unsensed(6, SurfaceClass(False, 3), _CUBIC) == 11
 
 
 def test_count_unsensed_below_rooted() -> None:
@@ -163,21 +187,74 @@ def test_shared_identity_search_is_order_independent() -> None:
 def test_rooted_and_burnside_identity_walk_one_tree() -> None:
     oracle._identity_histogram.cache_clear()
     surface = SurfaceClass(False, 3)
-    assert count_rooted(6, surface, _is_cubic, _CUBIC) == 128
-    assert count_unsensed(6, surface, _is_cubic, _CUBIC) == 11
+    assert count_rooted(6, surface, _CUBIC) == 128
+    assert count_unsensed(6, surface, _CUBIC) == 11
     info = oracle._identity_histogram.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_limit_holds_on_a_warm_cache() -> None:
     surface = SurfaceClass(False, 2)
-    assert count_rooted(7, surface, _is_cubic, _CUBIC, max_edges=7) == 0
+    assert count_rooted(7, surface, _CUBIC, max_edges=7) == 0
     with pytest.raises(EnumerationLimitError):
-        count_rooted(7, surface, _is_cubic, _CUBIC)
+        count_rooted(7, surface, _CUBIC)
     with pytest.raises(EnumerationLimitError):
-        count_unsensed(7, surface, _is_cubic, _CUBIC)
+        count_unsensed(7, surface, _CUBIC)
 
 
 def test_allowed_degrees_may_be_a_plain_set() -> None:
     surface = SurfaceClass(True, 2)
-    assert count_rooted(9, surface, _is_cubic, {3}) == count_rooted(9, surface, _is_cubic, frozenset({3})) == 105
+    assert count_rooted(9, surface, {3}) == count_rooted(9, surface, frozenset({3})) == 105
+
+
+def _exact(total: int, order: int) -> int:
+    quotient, remainder = divmod(total, order)
+    assert remainder == 0
+    return quotient
+
+
+def _on(histogram, surface: SurfaceClass) -> int:
+    return sum(c for inv, c in histogram.items() if (inv.orientable, inv.genus) == (surface.orientable, surface.genus))
+
+
+@pytest.mark.parametrize("degrees", [None, _CUBIC])
+def test_class_weighted_burnside_matches_per_element_burnside(degrees) -> None:
+    # the reference searches every one of the 2n rotations and 2n reflections on its own
+    cases = [(n, True) for n in range(1, 6)] + [(n, False) for n in range(1, 8)]
+    for n, twisted in cases:
+        two_n = 2 * n
+        rotations: Counter = Counter()
+        reflections: Counter = Counter()
+        for d in range(two_n):
+            rotations.update(oracle._count_search(n, twisted, degrees, [(s + d) % two_n for s in range(two_n)]))
+            reflections.update(oracle._count_search(n, twisted, degrees, [(d - s) % two_n for s in range(two_n)]))
+        if twisted:
+            surfaces = [SurfaceClass(False, g) for g in range(1, n + 1)]
+        else:
+            surfaces = [SurfaceClass(True, g) for g in range(n // 2 + 1)]
+        for surface in surfaces:
+            rotated, reflected = _on(rotations, surface), _on(reflections, surface)
+            unsensed = _exact(rotated + reflected, 4 * n)
+            assert count_unsensed(n, surface, degrees, max_edges=7) == unsensed, (n, surface)
+            if surface.orientable:
+                sensed = _exact(rotated, two_n)
+                assert count_sensed_orientable(n, surface.genus, degrees, max_edges=7) == sensed, (n, surface)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_burnside_searches_once_per_symmetry_class(monkeypatch, n) -> None:
+    symmetric_searches = []
+    search = oracle._count_search
+
+    def counting_search(n, allow_twists, degrees, symmetry=None):
+        if symmetry is not None:
+            symmetric_searches.append(symmetry)
+        return search(n, allow_twists, degrees, symmetry)
+
+    monkeypatch.setattr(oracle, "_count_search", counting_search)
+    divisors = sum(1 for d in range(1, 2 * n + 1) if 2 * n % d == 0)
+    count_sensed_orientable(n, 2, _CUBIC)
+    assert len(symmetric_searches) == divisors - 1
+    symmetric_searches.clear()
+    count_unsensed(n, SurfaceClass(True, 2), _CUBIC)
+    assert len(symmetric_searches) == divisors + 1

@@ -11,7 +11,6 @@ from cubicmaps.rooted_counts import (
     SurfaceClass,
     c_coefficient,
     covering_genus_orientable,
-    precubic_edges_nonorientable,
     precubic_leaves_nonorientable,
     precubic_leaves_orientable,
     precubic_nonorientable_by_genus_pair,
@@ -130,7 +129,7 @@ def test_precubic_parameterizations_agree() -> None:
 def test_precubic_edge_and_leaf_translations_roundtrip() -> None:
     for gg in range(1, 8):
         for k in range(0, 10):
-            edges = precubic_edges_nonorientable(gg, k)
+            edges = 2 * k + 3 * gg - 3
             if edges < 1:
                 continue
             assert precubic_leaves_nonorientable(gg, edges) == k

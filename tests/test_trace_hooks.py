@@ -2,12 +2,17 @@
 
 perfbench/trace_child.py wraps every function its GROUPS table names, looked
 up by name in the given module; a renamed or removed function makes every
-traced benchmark run crash. Importing trace_child has no side effects.
+traced benchmark run crash. Importing trace_child has no side effects. One
+traced `verify` run checks that the wrapped calls still reach the oracle.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,3 +27,24 @@ def test_trace_groups_name_plain_functions(monkeypatch) -> None:
             fn = vars(module).get(name)
             assert isinstance(fn, types.FunctionType), (group, name)
             assert (fn.__module__, fn.__name__) == (module.__name__, name), (group, name)
+
+
+def test_traced_verify_runs_and_times_the_oracle(tmp_path) -> None:
+    # the tracer reads the surface of each oracle call positionally, so a changed oracle signature shows up here
+    root = PERFBENCH.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with open(tmp_path / "sums.json", "w") as out:
+        fd = out.fileno()
+        run = subprocess.run(
+            [sys.executable, str(PERFBENCH / "trace_child.py"), str(fd), "verify"],
+            cwd=root,
+            env=env,
+            pass_fds=(fd,),
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+    assert run.returncode == 0, run.stderr
+    sums = json.loads((tmp_path / "sums.json").read_text())["sums"]
+    for key in ("oracle.identity.calls", "oracle.symmetry.calls", "cli.verify.oracle-equivalence.s"):
+        assert sums.get(key, 0) > 0, key
