@@ -13,7 +13,6 @@ from .census import (
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
 )
-from .exactnum import BigCount, ExactRational
 from .oracle import (
     DEFAULT_MAX_EDGES_FULL,
     DEFAULT_MAX_EDGES_ORIENTABLE,
@@ -51,12 +50,10 @@ from .rooted_counts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigCount",
     "CensusRow",
     "DEFAULT_MAX_EDGES_FULL",
     "DEFAULT_MAX_EDGES_ORIENTABLE",
     "EnumerationLimitError",
-    "ExactRational",
     "H2OrbifoldClass",
     "MapInvariants",
     "PolygonGluing",

@@ -25,8 +25,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (
-    BigCount,
-    ExactRational,
     binomial,
     exact_quotient,
     factorial,
@@ -67,9 +65,9 @@ class CensusRow:
     """
 
     genus: int
-    rooted: BigCount
-    sensed: Optional[BigCount]
-    unsensed: BigCount
+    rooted: int
+    sensed: Optional[int]
+    unsensed: int
 
     def __post_init__(self) -> None:
         if self.genus < 1:
@@ -113,7 +111,7 @@ def nonorientable_census_row(g: int) -> CensusRow:
 # ============================================================
 
 
-def sensed_cubic_orientable(g: int) -> BigCount:
+def sensed_cubic_orientable(g: int) -> int:
     """Count cubic one-face maps on the orientable genus-g surface up to rotation.
 
     Four-term assembly: the rooted count averaged over the 2(6g-3) rootings,
@@ -175,7 +173,7 @@ def sensed_cubic_orientable(g: int) -> BigCount:
     return require_integer(total, f"sensed orientable count at g={g}")
 
 
-def unsensed_cubic_orientable(g: int) -> BigCount:
+def unsensed_cubic_orientable(g: int) -> int:
     """Count cubic one-face maps on the orientable genus-g surface up to all homeomorphisms.
 
     Half of (sensed count + two reflection-quotient terms): the orientable
@@ -191,7 +189,7 @@ def unsensed_cubic_orientable(g: int) -> BigCount:
     return _unsensed_from_sensed(g, sensed_cubic_orientable(g))
 
 
-def _unsensed_from_sensed(g: int, sensed: BigCount) -> BigCount:
+def _unsensed_from_sensed(g: int, sensed: int) -> int:
     """The unsensed orientable count at genus g >= 1, given the sensed count there."""
     halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
     reflected = precubic_nonorientable_by_genus_pair(2 * g, g)
@@ -203,7 +201,7 @@ def _unsensed_from_sensed(g: int, sensed: BigCount) -> BigCount:
 # ============================================================
 
 
-def h2_term_nonorientable(g: int) -> ExactRational:
+def h2_term_nonorientable(g: int) -> Fraction:
     """Period-2 contribution to the unsensed non-orientable count at genus g.
 
     Half the epsilon-weighted sum of precubic quotient counts over the
@@ -216,7 +214,7 @@ def h2_term_nonorientable(g: int) -> ExactRational:
     return _nonorientable_corrections(g)[0]
 
 
-def hl_term_nonorientable(g: int) -> ExactRational:
+def hl_term_nonorientable(g: int) -> Fraction:
     """Period-l (l >= 2) closed-orbifold contribution to the unsensed count at genus g.
 
     Quarter of the sum over signature solutions of
@@ -235,7 +233,7 @@ def hl_term_nonorientable(g: int) -> ExactRational:
     return _nonorientable_corrections(g)[1]
 
 
-def _nonorientable_corrections(g: int) -> Tuple[ExactRational, ExactRational]:
+def _nonorientable_corrections(g: int) -> Tuple[Fraction, Fraction]:
     """The period-2 and period-l terms at genus g >= 2 from one walk over the precubic counts.
 
     Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
@@ -281,7 +279,7 @@ def _nonorientable_corrections(g: int) -> Tuple[ExactRational, ExactRational]:
     return Fraction(h2, 2), hl
 
 
-def unsensed_cubic_nonorientable(g: int) -> BigCount:
+def unsensed_cubic_nonorientable(g: int) -> int:
     """Count cubic one-face maps on the non-orientable genus-g surface up to all homeomorphisms.
 
     Rooted count averaged over 4(3g-3) rootings, plus the period-2 and

@@ -426,40 +426,46 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("table-reproduction", suite_tables),
     )
 
-    suites: List[Tuple[str, List[Check]]] = []
-    first_failure: Optional[Check] = None
-    for name, run in runs:
-        checks = run()
-        suites.append((name, checks))
-        ok = all(c.passed for c in checks)
-        unit = "check" if len(checks) == 1 else "checks"
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({len(checks)} {unit})", flush=True)
-        if not ok and first_failure is None:
-            first_failure = next(c for c in checks if not c.passed)
+    # opened before any suite runs, so an unwritable path fails at once
+    try:
+        report_file = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        return _usage_error(f"cannot write report: {exc}")
+    with report_file or contextlib.nullcontext():
+        suites: List[Tuple[str, List[Check]]] = []
+        first_failure: Optional[Check] = None
+        for name, run in runs:
+            checks = run()
+            suites.append((name, checks))
+            ok = all(c.passed for c in checks)
+            unit = "check" if len(checks) == 1 else "checks"
+            print(f"{name}: {'PASS' if ok else 'FAIL'} ({len(checks)} {unit})", flush=True)
+            if not ok and first_failure is None:
+                first_failure = next(c for c in checks if not c.passed)
 
-    if args.report:
-        report = {
-            "max_edges_orientable": str(max_o),
-            "max_edges_full": str(max_f),
-            "all_pass": first_failure is None,
-            "suites": [
-                {
-                    "name": name,
-                    "status": "PASS" if all(c.passed for c in checks) else "FAIL",
-                    "checks": [
-                        {"label": c.label, "got": c.got, "want": c.want, "passed": c.passed}
-                        for c in checks
-                    ],
-                }
-                for name, checks in suites
-            ],
-        }
-        try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            return _usage_error(f"cannot write report: {exc}")
+        if report_file is not None:
+            report = {
+                "max_edges_orientable": str(max_o),
+                "max_edges_full": str(max_f),
+                "all_pass": first_failure is None,
+                "suites": [
+                    {
+                        "name": name,
+                        "status": "PASS" if all(c.passed for c in checks) else "FAIL",
+                        "checks": [
+                            {"label": c.label, "got": c.got, "want": c.want, "passed": c.passed}
+                            for c in checks
+                        ],
+                    }
+                    for name, checks in suites
+                ],
+            }
+            try:
+                json.dump(report, report_file, indent=2)
+                report_file.write("\n")
+                report_file.flush()
+            except OSError as exc:
+                return _usage_error(f"cannot write report: {exc}")
 
     if first_failure is not None:
         print(f"FIRST FAILURE: {first_failure.label}: got {first_failure.got}, want {first_failure.want}")

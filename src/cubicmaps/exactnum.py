@@ -21,19 +21,13 @@ from fractions import Fraction
 from functools import cache
 from typing import List, Sequence, Tuple
 
-# Type aliases used across the package. An arbitrary-precision int is the
-# carrier for every final count; a reduced Fraction for every intermediate.
-BigCount = int
-ExactRational = Fraction
-
-
 # ============================================================
 # Factorials and binomials
 # ============================================================
 
 
 @cache
-def factorial(n: int) -> BigCount:
+def factorial(n: int) -> int:
     """Return n! for n >= 0.
 
     Memoized: the census formulas reuse the same arguments across genera.
@@ -43,7 +37,7 @@ def factorial(n: int) -> BigCount:
     return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> BigCount:
+def binomial(n: int, k: int) -> int:
     """Return C(n, k) for n >= 0, with C(n, k) = 0 when k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"binomial requires n >= 0 (got n={n})")
@@ -52,7 +46,7 @@ def binomial(n: int, k: int) -> BigCount:
     return math.comb(n, k)
 
 
-def require_integer(value: ExactRational, context: str = "value") -> BigCount:
+def require_integer(value: Fraction, context: str = "value") -> int:
     """Convert an exact rational that must be integral into an int.
 
     Raises ArithmeticError otherwise: a non-integral final count means a
@@ -65,7 +59,7 @@ def require_integer(value: ExactRational, context: str = "value") -> BigCount:
     return int(value)
 
 
-def exact_quotient(num: int, den: int, context: str = "value") -> BigCount:
+def exact_quotient(num: int, den: int, context: str = "value") -> int:
     """Return num / den, which must be an integer; raise ArithmeticError otherwise.
 
     The integer form of require_integer: one exact division instead of the
@@ -82,7 +76,7 @@ def exact_quotient(num: int, den: int, context: str = "value") -> BigCount:
 # ============================================================
 
 
-def hypergeometric_sum(first_num: int, first_den: int, ratios: Sequence[Tuple[int, int]]) -> ExactRational:
+def hypergeometric_sum(first_num: int, first_den: int, ratios: Sequence[Tuple[int, int]]) -> Fraction:
     """Sum the terms t_0, ..., t_m with t_0 = first_num/first_den and t_{j+1} = t_j * p_j/q_j.
 
     `ratios` lists the m pairs (p_j, q_j) of small integers. Horner's rule
@@ -127,7 +121,7 @@ def prime_factorization(n: int) -> List[Tuple[int, int]]:
     return out
 
 
-def euler_phi(n: int) -> BigCount:
+def euler_phi(n: int) -> int:
     """Return the Euler totient of n >= 1."""
     if n < 1:
         raise ValueError(f"euler_phi requires n >= 1 (got {n})")
@@ -137,7 +131,7 @@ def euler_phi(n: int) -> BigCount:
     return out
 
 
-def jordan_totient_or_zero(k: int, num: int, den: int) -> BigCount:
+def jordan_totient_or_zero(k: int, num: int, den: int) -> int:
     """Return the Jordan totient J_k(num/den), or 0 if den does not divide num.
 
     J_k(m) = prod over p^a || m of (p^{ak} - p^{(a-1)k}); J_k(1) = 1 for all k,
@@ -159,7 +153,7 @@ def jordan_totient_or_zero(k: int, num: int, den: int) -> BigCount:
     return out
 
 
-def lcm_list(values: Sequence[int]) -> BigCount:
+def lcm_list(values: Sequence[int]) -> int:
     """Return lcm of the given positive integers; lcm of the empty list is 1."""
     for v in values:
         if v < 1:

@@ -29,12 +29,15 @@ Search
 ------
 Matchings are enumerated by always extending the smallest unmatched side, so
 the search order is canonical and the space partitions deterministically by
-the first placed pair. Partial corner classes live in a union-find with an
-undo trail; a class whose link count equals its size is closed (every
-flanking side matched, so it is a finished vertex). Branches die early when
-a class closes with a size outside the degree set or an open class
-outgrows the largest degree in it. Counts fixed by a symmetry reuse the
-same search, forcing the whole symmetry orbit of every placed pair at once.
+the first placed pair. Every corner flanks two sides, and each glued side
+links one corner at each of its ends, so a partial corner class is a path
+of corners until a link joins its two ends and closes it into a cycle: a
+finished vertex whose degree is the cycle length. Links only join path
+ends, so a path is known by its ends alone, and one undo trail takes the
+partial gluing back to any mark. Branches die early when a cycle closes
+with a size outside the degree set or a path outgrows the largest degree
+in it. Counts fixed by a symmetry reuse the same search, forcing the whole
+symmetry orbit of every placed pair at once.
 
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
@@ -56,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactnum import BigCount, exact_quotient
+from .exactnum import exact_quotient
 from .rooted_counts import SurfaceClass
 
 # Enumeration limits: full twisted enumeration visits (2n-1)!! 2^n gluings,
@@ -110,80 +113,85 @@ class MapInvariants(SurfaceClass):
 InvariantHistogram = Counter[MapInvariants]
 
 
-def _corner_links(i: int, j: int, twist: bool, two_n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The two corner identifications induced by gluing sides i and j."""
-    if twist:
-        return ((i + 1) % two_n, (j + 1) % two_n), (i % two_n, j % two_n)
-    return ((i + 1) % two_n, j % two_n), (i % two_n, (j + 1) % two_n)
+class _PartialGluing:
+    """Side partners, twist bits and corner classes of a partial gluing, with one undo trail.
 
-
-class _CornerClasses:
-    """Union-find over corners with class size and link counters, undoable.
-
-    No path compression, so merges undo in O(1); finds stay cheap at these
-    sizes. A class is closed when links == size: each corner then has both
-    flanking sides matched, so the vertex is complete.
+    A corner path is stored at its ends: end[c] is the other end, size[c] the
+    corner count. `degrees` lists the sizes of the closed cycles. twist[s]
+    is meaningful once side s is glued. A gluing fails when a cycle closes
+    with a size outside `allowed` (any size if None) or a path outgrows it.
     """
 
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-        self.size = [1] * m
-        self.links = [0] * m
-        self.trail: List[Tuple[int, int]] = []  # (root, absorbed_root or -1)
+    def __init__(self, n: int, allowed: Optional[AbstractSet[int]] = None):
+        self.n = n
+        self.allowed = range(1, 2 * n + 1) if allowed is None else allowed
+        self.max_degree = max(self.allowed, default=0)
+        self.partner = [-1] * (2 * n)
+        self.twist = [False] * (2 * n)
+        self.end = list(range(2 * n))
+        self.size = [1] * (2 * n)
+        self.degrees: List[int] = []
+        # a glued side, a merge (x, u, size u, y, v, size v) of paths x..u and v..y, or None for a closed cycle
+        self.trail: List[object] = []
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    def glue(self, a: int, b: int, twist: bool) -> bool:
+        """Glue sides a and b; False if either is glued otherwise or a corner class leaves the degree set.
 
-    def add_link(self, a: int, b: int) -> int:
-        """Record the identification of corners a and b; return the class root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self.links[ra] += 1
-            self.trail.append((ra, -1))
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.links[ra] += self.links[rb] + 1
-        self.trail.append((ra, rb))
-        return ra
-
-    def undo_to(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            ra, rb = trail.pop()
-            if rb < 0:
-                self.links[ra] -= 1
+        A pair already glued the same way is accepted as it is. On False the
+        gluing may be half done: undo to the mark taken before.
+        """
+        partner, end, size, trail = self.partner, self.end, self.size, self.trail
+        if partner[a] != -1 or partner[b] != -1:
+            return partner[a] == b and self.twist[a] == twist
+        partner[a], partner[b] = b, a
+        self.twist[a] = self.twist[b] = twist
+        trail.append(a)
+        # the corner links of the Model above: a+1 ~ b and a ~ b+1 untwisted, a+1 ~ b+1 and a ~ b twisted
+        a1, b1 = (a + 1) % len(partner), (b + 1) % len(partner)
+        for (u, v) in ((a1, b1), (a, b)) if twist else ((a1, b), (a, b1)):
+            if end[u] == v:
+                s = size[u]
+                self.degrees.append(s)
+                trail.append(None)
+                if s not in self.allowed:
+                    return False
             else:
-                self.parent[rb] = rb
-                self.size[ra] -= self.size[rb]
-                self.links[ra] -= self.links[rb] + 1
+                x, y = end[u], end[v]
+                trail.append((x, u, size[u], y, v, size[v]))
+                s = size[u] + size[v]
+                end[x], end[y] = y, x
+                size[x] = size[y] = s
+                if s > self.max_degree:
+                    return False
+        return True
 
+    def undo(self, mark: int) -> None:
+        """Undo every change made since the trail had length `mark`."""
+        partner, end, size, trail = self.partner, self.end, self.size, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry is None:
+                self.degrees.pop()
+            elif isinstance(entry, tuple):
+                x, u, su, y, v, sv = entry
+                end[x], size[x], end[y], size[y] = u, su, v, sv
+            else:
+                partner[partner[entry]] = partner[entry] = -1
 
-def _invariants(classes: _CornerClasses, n: int, orientable: bool) -> MapInvariants:
-    """The invariants of a complete n-edge gluing whose corner links are all in `classes`.
-
-    Corner classes are the map vertices; the Euler relation v - n + 1 = chi
-    then pins the genus, with chi = 2-2g orientable and 2-g otherwise.
-    """
-    degrees = tuple(sorted(classes.size[c] for c, root in enumerate(classes.parent) if c == root))
-    chi = len(degrees) - n + 1
-    genus = (2 - chi) // 2 if orientable else 2 - chi
-    return MapInvariants(orientable=orientable, genus=genus, degrees=degrees)
+    def invariants(self) -> MapInvariants:
+        """The invariants of the complete gluing: its cycles are the vertices, v - n + 1 = chi pins the genus."""
+        orientable = not any(self.twist)
+        chi = len(self.degrees) - self.n + 1
+        genus = (2 - chi) // 2 if orientable else 2 - chi
+        return MapInvariants(orientable=orientable, genus=genus, degrees=tuple(sorted(self.degrees)))
 
 
 def classify(gluing: PolygonGluing) -> MapInvariants:
     """Compute the surface and vertex degrees of a glued polygon."""
-    two_n = 2 * gluing.n
-    classes = _CornerClasses(two_n)
+    state = _PartialGluing(gluing.n)
     for (i, j), twist in zip(gluing.pairs, gluing.twists):
-        for (u, v) in _corner_links(i, j, twist, two_n):
-            classes.add_link(u, v)
-    return _invariants(classes, gluing.n, not any(gluing.twists))
+        state.glue(i, j, twist)
+    return state.invariants()
 
 
 # ============================================================
@@ -204,41 +212,13 @@ def _count_search(
     must be fixed by it, twist bits carried unchanged.
     """
     two_n = 2 * n
-    partner = [-1] * two_n
-    twist_of = [False] * two_n
-    classes = _CornerClasses(two_n)
-    max_degree = max(degrees) if degrees else 0
+    state = _PartialGluing(n, degrees)
+    partner = state.partner
     twist_options = (False, True) if allow_twists else (False,)
 
-    def place(a: int, b: int, twist: bool, placed: List[int]) -> bool:
-        # one pair into the partial gluing; False on any conflict or prune
-        if a == b:
-            return False
-        if partner[a] != -1 or partner[b] != -1:
-            return partner[a] == b and twist_of[a] == twist
-        partner[a] = b
-        partner[b] = a
-        twist_of[a] = twist_of[b] = twist
-        placed.append(a)
-        lo, hi = (a, b) if a < b else (b, a)
-        for (u, v) in _corner_links(lo, hi, twist, two_n):
-            root = classes.add_link(u, v)
-            if degrees is not None:
-                s = classes.size[root]
-                if s > max_degree:
-                    return False
-                if classes.links[root] == s and s not in degrees:
-                    return False
-        return True
-
-    def unplace(placed: List[int], mark: int) -> None:
-        classes.undo_to(mark)
-        for a in placed:
-            partner[partner[a]] = -1
-            partner[a] = -1
-
-    def place_orbit(i: int, j: int, twist: bool, placed: List[int]) -> bool:
-        if not place(i, j, twist, placed):
+    def place_orbit(i: int, j: int, twist: bool) -> bool:
+        # the pair and each image under the symmetry until the orbit returns to it
+        if not state.glue(i, j, twist):
             return False
         if symmetry is None:
             return True
@@ -247,29 +227,24 @@ def _count_search(
             a, b = symmetry[a], symmetry[b]
             if (a, b) in ((i, j), (j, i)):
                 return True
-            if not place(a, b, twist, placed):
+            if not state.glue(a, b, twist):
                 return False
 
     histogram: InvariantHistogram = Counter()
 
     def search() -> None:
-        first = -1
-        for s in range(two_n):
-            if partner[s] == -1:
-                first = s
-                break
-        if first == -1:
-            histogram[_invariants(classes, n, not any(twist_of))] += 1
+        if -1 not in partner:
+            histogram[state.invariants()] += 1
             return
+        first = partner.index(-1)
         for j in range(first + 1, two_n):
             if partner[j] != -1:
                 continue
             for twist in twist_options:
-                placed: List[int] = []
-                mark = len(classes.trail)
-                if place_orbit(first, j, twist, placed):
+                mark = len(state.trail)
+                if place_orbit(first, j, twist):
                     search()
-                unplace(placed, mark)
+                state.undo(mark)
 
     search()
     return histogram
@@ -331,7 +306,7 @@ def count_rooted(
     surface: SurfaceClass,
     degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
-) -> BigCount:
+) -> int:
     """Count rooted one-face maps with n edges on `surface` via direct enumeration.
 
     One gluing is one rooted map. Orientable surfaces enumerate matchings
@@ -349,7 +324,7 @@ def _burnside(
     degrees: Optional[AbstractSet[int]],
     max_edges: Optional[int],
     with_reflections: bool,
-) -> BigCount:
+) -> int:
     """Average the fixed gluings over the 2n rotations, and the 2n reflections s -> c - s if asked.
 
     One search per class of equal fixed counts, weighted by the class size:
@@ -374,7 +349,7 @@ def count_sensed_orientable(
     genus: int,
     degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
-) -> BigCount:
+) -> int:
     """Count orientable one-face maps with n edges up to rotation (Burnside over Z_2n)."""
     return _burnside(n, SurfaceClass(orientable=True, genus=genus), degrees, max_edges, False)
 
@@ -384,7 +359,7 @@ def count_unsensed(
     surface: SurfaceClass,
     degrees: Optional[AbstractSet[int]] = None,
     max_edges: Optional[int] = None,
-) -> BigCount:
+) -> int:
     """Count one-face maps with n edges on `surface` up to all homeomorphisms.
 
     Burnside over the dihedral group of order 4n: the 2n rotations plus the
@@ -398,7 +373,7 @@ def count_precubic(
     surface: SurfaceClass,
     leaves: int,
     max_edges: Optional[int] = None,
-) -> BigCount:
+) -> int:
     """Count rooted one-face maps with n edges, `leaves` degree-1 vertices, rest degree 3."""
     if leaves < 0:
         return 0

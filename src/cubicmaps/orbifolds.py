@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
-from .exactnum import (
-    BigCount,
-    euler_phi,
-    jordan_totient_or_zero,
-    lcm_list,
-)
+from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
 
 
 # ============================================================
@@ -70,7 +65,7 @@ def h2_orbifold_family(g: int) -> List[H2OrbifoldClass]:
     return family
 
 
-def epsilon_h2_orientable(gg: int, r: int) -> BigCount:
+def epsilon_h2_orientable(gg: int, r: int) -> int:
     """Epimorphism-difference coefficient for an orientable period-2 quotient.
 
     2^{2gg} with branch points, 2^{2gg} - 1 without.
@@ -80,7 +75,7 @@ def epsilon_h2_orientable(gg: int, r: int) -> BigCount:
     return 2 ** (2 * gg) if r > 0 else 2 ** (2 * gg) - 1
 
 
-def epsilon_h2_nonorientable(gg: int, r: int) -> BigCount:
+def epsilon_h2_nonorientable(gg: int, r: int) -> int:
     """Epimorphism-difference coefficient for a non-orientable period-2 quotient.
 
     2^gg with branch points, 2^gg - 1 without.
@@ -108,7 +103,7 @@ class SignatureSolution:
     genus: int
     n_s: int
     n_v: int
-    epsilon: BigCount
+    epsilon: int
 
     def __post_init__(self) -> None:
         if self.l < 2:
@@ -169,7 +164,7 @@ def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
     return out
 
 
-def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> BigCount:
+def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> int:
     """Epimorphism-difference coefficient of a closed signature.
 
     l^{gg-1} phi(l) 2^{n_v} for odd l; twice that for even l when
@@ -197,14 +192,18 @@ def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> BigCount:
 # orientable orbifold with h >= 1 boundaries, gg+h-1 for a non-orientable one.
 
 
-def _phi_product(branch_indices: Sequence[int]) -> BigCount:
-    out = 1
-    for m in branch_indices:
-        out *= euler_phi(m)
+def _epi_term(rank: int, order: int, m: int, branch_indices: Sequence[int]) -> int:
+    """m^rank J_rank(order/m) prod phi(m_i): every count below is built from terms of this shape.
+
+    J(l/(2m)) is read as J((l/2)/m), which agrees for the even l it is used with.
+    """
+    out = m ** rank * jordan_totient_or_zero(rank, order, m)
+    for m_i in branch_indices:
+        out *= euler_phi(m_i)
     return out
 
 
-def _epi_boundary(rank: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
+def _epi_boundary(rank: int, h: int, branch_indices: Sequence[int], l: int) -> int:
     """Order-preserving epimorphisms onto Z_l, even l, from a bordered orbifold group of that rank.
 
     (m')^rank J_rank(l/m') prod phi(m_i) with m' = lcm(2, m_1..m_r).
@@ -213,11 +212,10 @@ def _epi_boundary(rank: int, h: int, branch_indices: Sequence[int], l: int) -> B
         raise ValueError("the boundary form requires h >= 1")
     if l % 2 != 0:
         raise ValueError("the order-preserving boundary form is stated for even l")
-    mp = lcm_list([2, *branch_indices])
-    return mp ** rank * jordan_totient_or_zero(rank, l, mp) * _phi_product(branch_indices)
+    return _epi_term(rank, l, lcm_list([2, *branch_indices]), branch_indices)
 
 
-def _epi_plus_boundary(rank: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+def _epi_plus_boundary(rank: int, h: int, branch_indices: Sequence[int], group_order: int) -> int:
     """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, from a bordered orbifold group.
 
     `group_order` is 2l. Count: m^rank J_rank(l/m) prod phi(m_i) with
@@ -227,26 +225,25 @@ def _epi_plus_boundary(rank: int, h: int, branch_indices: Sequence[int], group_o
         raise ValueError("the boundary form requires h >= 1")
     if group_order % 2 != 0 or (group_order // 2) % 2 != 1:
         raise ValueError("the orientation-preserving boundary form is stated for group order 2l, l odd")
-    m = lcm_list(branch_indices)
-    return m ** rank * jordan_totient_or_zero(rank, group_order // 2, m) * _phi_product(branch_indices)
+    return _epi_term(rank, group_order // 2, lcm_list(branch_indices), branch_indices)
 
 
-def epi_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
+def epi_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> int:
     """Order-preserving epimorphisms onto Z_l, even l, orientable orbifold with h >= 1 boundaries."""
     return _epi_boundary(2 * gg + h - 1, h, branch_indices, l)
 
 
-def epi_plus_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+def epi_plus_orientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> int:
     """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, orientable orbifold."""
     return _epi_plus_boundary(2 * gg + h - 1, h, branch_indices, group_order)
 
 
-def epi_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> BigCount:
+def epi_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], l: int) -> int:
     """Order-preserving epimorphisms onto Z_l, even l, non-orientable orbifold with h >= 1 boundaries."""
     return _epi_boundary(gg + h - 1, h, branch_indices, l)
 
 
-def epi_plus_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> BigCount:
+def epi_plus_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[int], group_order: int) -> int:
     """Orientation-and-order-preserving epimorphisms onto Z_{2l}, l odd, non-orientable orbifold."""
     return _epi_plus_boundary(gg + h - 1, h, branch_indices, group_order)
 
@@ -257,7 +254,7 @@ def _reduced_half_reciprocal_denominator(branch_indices: Sequence[int]) -> int:
     return total.denominator
 
 
-def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> BigCount:
+def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> int:
     """Order-preserving epimorphisms onto Z_l for a closed non-orientable orbifold.
 
     Three printed cases: odd l uses m = lcm(m_i); l = 2^q k with q > 1 uses
@@ -269,20 +266,18 @@ def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> 
         raise ValueError("a non-orientable orbifold needs gg >= 1")
     if l < 2:
         raise ValueError(f"period must be >= 2 (got {l})")
-    phi_prod = _phi_product(branch_indices)
     k = gg - 1
     m = lcm_list(branch_indices)
     if l % 2 != 0:
-        return m ** k * jordan_totient_or_zero(k, l, m) * phi_prod
+        return _epi_term(k, l, m, branch_indices)
     b = _reduced_half_reciprocal_denominator(branch_indices)
-    mp = lcm_list([2, b, *branch_indices])
-    doubled = 2 * mp ** k * jordan_totient_or_zero(k, l, mp) * phi_prod
+    doubled = 2 * _epi_term(k, l, lcm_list([2, b, *branch_indices]), branch_indices)
     if l % 4 == 0:
         return doubled
-    return doubled - m ** k * jordan_totient_or_zero(k, l, 2 * m) * phi_prod
+    return doubled - _epi_term(k, l // 2, m, branch_indices)
 
 
-def epi_plus_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> BigCount:
+def epi_plus_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> int:
     """Orientation-and-order-preserving epimorphisms onto Z_l, closed non-orientable orbifold.
 
     0 for odd l; m^{gg-1} J_{gg-1}(l/(2m)) prod phi(m_i) for l = 2k with k
@@ -296,10 +291,6 @@ def epi_plus_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int
         raise ValueError(f"period must be >= 2 (got {l})")
     if l % 2 != 0:
         return 0
-    phi_prod = _phi_product(branch_indices)
-    k = gg - 1
     if l % 4 == 0:
-        mp = lcm_list([2, *branch_indices])
-        return 2 * mp ** k * jordan_totient_or_zero(k, l, 2 * mp) * phi_prod
-    m = lcm_list(branch_indices)
-    return m ** k * jordan_totient_or_zero(k, l, 2 * m) * phi_prod
+        return 2 * _epi_term(gg - 1, l // 2, lcm_list([2, *branch_indices]), branch_indices)
+    return _epi_term(gg - 1, l // 2, lcm_list(branch_indices), branch_indices)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import BigCount, ExactRational, exact_quotient, factorial
+from .exactnum import exact_quotient, factorial
 
 
 # ============================================================
@@ -58,7 +58,7 @@ class SurfaceClass:
 # ============================================================
 
 
-def _orientable_form(gg: int, k: int) -> BigCount:
+def _orientable_form(gg: int, k: int) -> int:
     """Rooted precubic one-face maps with k leaves on the orientable genus-gg surface.
 
     2 (2m+1)! / (12^gg gg! m! k!) with m = k+3gg-2, so the map has 2m+1
@@ -72,7 +72,7 @@ def _orientable_form(gg: int, k: int) -> BigCount:
     )
 
 
-def _nonorientable_form(gg: int, k: int) -> BigCount:
+def _nonorientable_form(gg: int, k: int) -> int:
     """Rooted precubic one-face maps with k leaves on the non-orientable genus-gg surface.
 
     Even gg = 2h: 2 c_h (2k+6h-3)! / (k! (k+3h-2)!).
@@ -92,7 +92,7 @@ def _nonorientable_form(gg: int, k: int) -> BigCount:
     return exact_quotient(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k), context)
 
 
-def _orientable_gg_step(g: int, gg: int, value: BigCount) -> BigCount:
+def _orientable_gg_step(g: int, gg: int, value: int) -> int:
     """precubic_orientable(g, gg) for gg >= 1 from value = precubic_orientable(g, gg-1).
 
     Along k = g-4gg, m = g-gg-2 the ratio is
@@ -107,7 +107,7 @@ def _orientable_gg_step(g: int, gg: int, value: BigCount) -> BigCount:
     )
 
 
-def _nonorientable_leaf_step(gg: int, k: int, value: BigCount) -> BigCount:
+def _nonorientable_leaf_step(gg: int, k: int, value: int) -> int:
     """_nonorientable_form(gg, k+1) from value = _nonorientable_form(gg, k).
 
     The ratio is 4(k+1+3h) / (k+1) for odd gg = 2h+1 and
@@ -122,7 +122,7 @@ def _nonorientable_leaf_step(gg: int, k: int, value: BigCount) -> BigCount:
     return exact_quotient(value * num, den, f"precubic non-orientable count at (gg={gg}, k={k + 1})")
 
 
-def c_coefficient(h: int) -> ExactRational:
+def c_coefficient(h: int) -> Fraction:
     """The rational constant c_h appearing in the even-genus non-orientable counts.
 
     c_h = 2^{2h-2} h! / (3^{h-1} (2h)!) * sum_{i=0}^{h-1} C(2i, i) 16^{-i}.
@@ -147,7 +147,7 @@ def c_coefficient(h: int) -> ExactRational:
 # ============================================================
 
 
-def rooted_cubic_orientable(g: int) -> BigCount:
+def rooted_cubic_orientable(g: int) -> int:
     """Count rooted cubic one-face maps with 6g-3 edges on the orientable genus-g surface.
 
     Closed form: 2 (6g-3)! / (12^g g! (3g-2)!).
@@ -157,7 +157,7 @@ def rooted_cubic_orientable(g: int) -> BigCount:
     return _orientable_form(g, 0)
 
 
-def rooted_cubic_nonorientable(g: int) -> BigCount:
+def rooted_cubic_nonorientable(g: int) -> int:
     """Count rooted cubic one-face maps with 3g-3 edges on the non-orientable genus-g surface.
 
     Returns 0 for g=1: no cubic one-face map exists on the projective plane.
@@ -167,7 +167,7 @@ def rooted_cubic_nonorientable(g: int) -> BigCount:
     return 0 if g == 1 else _nonorientable_form(g, 0)
 
 
-def precubic_orientable(g: int, gg: int) -> BigCount:
+def precubic_orientable(g: int, gg: int) -> int:
     """Count rooted precubic one-face maps on the orientable genus-gg surface.
 
     Parameterized by the covering genus g: k = g-4gg leaves and 2m+1 edges,
@@ -178,7 +178,7 @@ def precubic_orientable(g: int, gg: int) -> BigCount:
     return _orientable_form(gg, g - 4 * gg)
 
 
-def precubic_nonorientable_by_leaves(gg: int, k: int) -> BigCount:
+def precubic_nonorientable_by_leaves(gg: int, k: int) -> int:
     """Count rooted precubic one-face maps with k leaves on the non-orientable genus-gg surface.
 
     Even gg = 2h: e = 2k+6h-3 edges; odd gg = 2h+1: e = 2k+6h edges.
@@ -189,7 +189,7 @@ def precubic_nonorientable_by_leaves(gg: int, k: int) -> BigCount:
     return _nonorientable_form(gg, k)
 
 
-def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> BigCount:
+def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> int:
     """The precubic non-orientable count in covering-genus form: k = g-2gg leaves.
 
     The map has 2g-gg-3 edges. Parameters with gg < 1 or k < 0 give 0. The

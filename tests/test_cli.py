@@ -361,6 +361,17 @@ def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suit
     assert "expected unsensed <= rooted" in last
 
 
+def test_verify_unwritable_report_fails_before_any_suite(capsys, monkeypatch, tmp_path) -> None:
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran although the report cannot be written")
+
+    for suite in ("suite_oracle_equivalence", "suite_integrality", "suite_specialization", "suite_tables"):
+        monkeypatch.setattr(cli, suite, never)
+    code, out, err = _run(capsys, "verify", "--report", str(tmp_path / "missing" / "report.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report: ")
+
+
 def test_verify_rejects_uncalibratable_limits(capsys) -> None:
     assert _run(capsys, "verify", "--max-edges-full", "2")[0] == 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from math import prod
 
@@ -79,6 +80,45 @@ def _all_gluings(n: int):
             yield PolygonGluing(n, pairs, twists)
 
 
+def _reference_invariants(gluing: PolygonGluing) -> MapInvariants:
+    # vertices from the two corner links of each pair, merged in a plain dict union-find
+    two_n = 2 * gluing.n
+    parent = {c: c for c in range(two_n)}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for (i, j), twist in zip(gluing.pairs, gluing.twists):
+        if twist:
+            links = [((i + 1) % two_n, (j + 1) % two_n), (i, j)]
+        else:
+            links = [((i + 1) % two_n, j), (i, (j + 1) % two_n)]
+        for u, v in links:
+            parent[find(u)] = find(v)
+    degrees = tuple(sorted(Counter(find(c) for c in range(two_n)).values()))
+    orientable = not any(gluing.twists)
+    chi = len(degrees) - gluing.n + 1
+    return MapInvariants(orientable, (2 - chi) // 2 if orientable else 2 - chi, degrees)
+
+
+def _random_gluing(n: int, rng: random.Random) -> PolygonGluing:
+    sides = list(range(2 * n))
+    rng.shuffle(sides)
+    pairs = tuple(sorted(tuple(sorted(sides[k : k + 2])) for k in range(0, 2 * n, 2)))
+    return PolygonGluing(n, pairs, tuple(rng.random() < 0.5 for _ in range(n)))
+
+
+def test_classify_agrees_with_a_union_find_reference() -> None:
+    gluings = [g for n in range(1, 5) for g in _all_gluings(n)]
+    assert len(gluings) == 1814
+    rng = random.Random(20240607)
+    gluings += [_random_gluing(n, rng) for n in (6, 7, 8) for _ in range(200)]
+    for gluing in gluings:
+        assert classify(gluing) == _reference_invariants(gluing), gluing
+
+
 def test_classify_agrees_with_the_search() -> None:
     # each gluing classified on its own, against the histogram of the unpruned search
     total = 0
@@ -87,6 +127,28 @@ def test_classify_agrees_with_the_search() -> None:
         total += sum(histogram.values())
         assert histogram == oracle._count_search(n, True, None)
     assert total == 1814
+
+
+def _is_fixed(gluing: PolygonGluing, symmetry) -> bool:
+    # pairs mapped setwise, twist bits carried unchanged
+    glued = {(frozenset(pair), twist) for pair, twist in zip(gluing.pairs, gluing.twists)}
+    return {(frozenset(symmetry[s] for s in pair), twist) for pair, twist in glued} == glued
+
+
+@pytest.mark.parametrize("degrees", [None, frozenset({1, 3})])
+def test_fixed_searches_match_brute_force(degrees) -> None:
+    for n in range(1, 5):
+        two_n = 2 * n
+        classified = [(g, classify(g)) for g in _all_gluings(n)]
+        rotations = [[(s + d) % two_n for s in range(two_n)] for d in range(two_n)]
+        reflections = [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
+        for symmetry in rotations + reflections:
+            expected = Counter(
+                invariants
+                for gluing, invariants in classified
+                if _is_fixed(gluing, symmetry) and (degrees is None or set(invariants.degrees) <= degrees)
+            )
+            assert oracle._count_search(n, True, degrees, symmetry) == expected, (n, symmetry)
 
 
 def test_completeness_partition_by_surface() -> None:
