@@ -1,82 +1,42 @@
-"""Show how the unsensed non-orientable count assembles from orbifold data.
+"""Show how the unsensed non-orientable count assembles from its named exact terms.
 
-Pick one genus and print every term: the rooted count averaged over its 4n
-rootings, the period-2 sum over quotient orbifold classes, and the period-l
-sum over closed signature solutions. Each summand is a rational number; only
-the grand total is forced to be an integer, and watching the fractions cancel
-is the point of the demo.
+Pick one genus and print the census term list: the rooted count averaged over
+its 4n rootings, one period-2 term per quotient orbifold class, and one
+period-l term per closed signature with a nonzero epimorphism coefficient.
+Each term is a rational number; only the grand total is forced to be an
+integer, and watching the fractions cancel is the point of the demo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cubicmaps import (
-    epsilon_h2_nonorientable,
-    epsilon_h2_orientable,
-    h2_orbifold_family,
-    precubic_nonorientable_by_genus_pair,
-    precubic_nonorientable_by_leaves,
-    precubic_orientable,
-    rooted_cubic_nonorientable,
-    solve_closed_orbifolds,
-    unsensed_cubic_nonorientable,
+from cubicmaps.census import nonorientable_terms, unsensed_cubic_nonorientable
+
+SECTIONS = (
+    ("rooted", "Rooted average over 4n rootings:"),
+    ("h2", "Period-2 quotient orbifolds, keyed (orientable, genus, branch points):"),
+    ("hl", "Closed signatures for periods l >= 2, keyed (l, genus, n_s, n_v):"),
 )
-from cubicmaps.census import h2_term_nonorientable, hl_term_nonorientable
-from cubicmaps.exactnum import binomial
 
 
 def main() -> None:
     g = 4
-    n = 3 * g - 3
-    rooted = rooted_cubic_nonorientable(g)
-    base = Fraction(rooted, 4 * n)
-    print(f"Non-orientable genus {g}, n = {n} edges, rooted count {rooted}.")
-    print(f"Rooted average over 4n = {4 * n} rootings: {base}")
-    print()
+    terms = [(key, Fraction(num, den)) for key, num, den in nonorientable_terms(g)]
+    print(f"Non-orientable genus {g}, n = {3 * g - 3} edges.")
+    subtotals = []
+    for kind, title in SECTIONS:
+        print()
+        print(title)
+        section = sorted((key, term) for key, term in terms if key[0] == kind)
+        for key, term in section:
+            print(f"  {key}: {term}")
+        subtotals.append(sum((term for _, term in section), Fraction(0)))
+        print(f"  subtotal: {subtotals[-1]}")
 
-    print("Period-2 quotient orbifolds (epsilon, quotient maps, half product):")
-    for orb in h2_orbifold_family(g):
-        if orb.orientable:
-            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
-            quotients = precubic_orientable(g, orb.genus)
-            kind = "orientable"
-        else:
-            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
-            quotients = precubic_nonorientable_by_genus_pair(g, orb.genus)
-            kind = "non-orientable"
-        term = Fraction(eps * quotients, 2)
-        print(
-            f"  {kind:>14} genus {orb.genus}, {orb.branch_points} branch points:"
-            f" eps = {eps}, quotients = {quotients}, term = {term}"
-        )
-    h2 = h2_term_nonorientable(g)
-    print(f"  period-2 total: {h2}")
+    total = sum(subtotals, Fraction(0))
     print()
-
-    print("Closed signature solutions for periods l >= 2:")
-    for sol in solve_closed_orbifolds(g):
-        if not sol.contributes:
-            print(
-                f"  l = {sol.l}, genus {sol.genus}, n_s = {sol.n_s}, n_v = {sol.n_v}:"
-                f" eps = 0, skipped"
-            )
-            continue
-        k = sol.n_s + sol.n_v
-        quotients = precubic_nonorientable_by_leaves(sol.genus, k)
-        term = Fraction(
-            sol.epsilon * binomial(k, sol.n_s) * quotients
-        ) / Fraction(6 * g - 6 + sol.l * sol.n_s, 2) / 4
-        print(
-            f"  l = {sol.l}, genus {sol.genus}, n_s = {sol.n_s}, n_v = {sol.n_v}:"
-            f" eps = {sol.epsilon}, quotients = {quotients}, term = {term}"
-        )
-    hl = hl_term_nonorientable(g)
-    print(f"  period-l total: {hl}")
-    print()
-
-    total = base + h2 + hl
-    print(f"Assembly: {base} + {h2} + {hl} = {total}")
+    print(f"Assembly: {' + '.join(str(s) for s in subtotals)} = {total}")
     assert total == unsensed_cubic_nonorientable(g)
     print(f"Unsensed count at genus {g}: {total}")
 

@@ -6,15 +6,16 @@ counts by orbit counting: a symmetry of period l contributes quotient maps on
 an orbifold, weighted by an epimorphism coefficient, and the weighted
 contributions average out over the possible rootings.
 
+Every count is the sum of one list of named exact terms (key, numerator,
+denominator) from orientable_terms(g) or nonorientable_terms(g): the rooted
+average, then one term per correction sum, orbifold class or signature. One
+rule adds a list up (_assemble): numerators sharing a denominator are added
+as integers, and each distinct denominator costs one reduction. Each public
+count, row and correction term is one pass over one list.
+
 The correction sums are integer Horner chains (hypergeometric_sum), and each
 prefactor (1/2, 1/4, 1/(4(3g-3))) is divided out by exact_quotient or
 require_integer, which raise on a remainder: a free correctness check.
-
-Both non-orientable correction terms come from one walk over their precubic
-quotient counts, sorted by (crosscaps, leaves) and holding one live count:
-neighbouring counts differ by a ratio of small integers, so each closed form
-is evaluated once per chain of consecutive leaf counts and every other count
-is an exact big-by-small step from the previous one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .exactnum import (
     binomial,
@@ -46,6 +47,9 @@ from .rooted_counts import (
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
+
+# (key, numerator, denominator) of one exact summand
+Term = Tuple[tuple, int, int]
 
 
 # ============================================================
@@ -87,13 +91,8 @@ class CensusRow:
 
 def orientable_census_row(g: int) -> CensusRow:
     """The (rooted, sensed, unsensed) row for the orientable genus-g surface."""
-    sensed = sensed_cubic_orientable(g)
-    return CensusRow(
-        genus=g,
-        rooted=rooted_cubic_orientable(g),
-        sensed=sensed,
-        unsensed=_unsensed_from_sensed(g, sensed),
-    )
+    sensed, unsensed = _orientable_counts(g)
+    return CensusRow(genus=g, rooted=rooted_cubic_orientable(g), sensed=sensed, unsensed=unsensed)
 
 
 def nonorientable_census_row(g: int) -> CensusRow:
@@ -106,25 +105,37 @@ def nonorientable_census_row(g: int) -> CensusRow:
     )
 
 
+def _assemble(terms: Iterable[Term]) -> Fraction:
+    """The exact sum of a term list: one integer sum and one reduction per distinct denominator."""
+    by_den: Dict[int, int] = defaultdict(int)
+    for _, num, den in terms:
+        by_den[den] += num
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+
+
 # ============================================================
 # Orientable surfaces
 # ============================================================
 
 
-def sensed_cubic_orientable(g: int) -> int:
-    """Count cubic one-face maps on the orientable genus-g surface up to rotation.
+def orientable_terms(g: int) -> Iterator[Term]:
+    """The named exact terms of the orientable genus-g census, as (key, numerator, denominator).
 
-    Four-term assembly: the rooted count averaged over the 2(6g-3) rootings,
-    plus three correction sums for the maps fixed by nontrivial rotations
-    (quotient maps on orbifolds of genus gg below g):
-
-      S2 = sum_gg (4g-2-2gg)! / (2 3^gg gg! (2g-1-gg)! (2g-4gg+1)!),
-      S3 = (2g-2)! / (6 (g-1)!) sum_gg (3/4)^{gg-1} (2^{g+1-3gg} + (-1)^{g-gg}) / (gg! (g+1-3gg)!),
-      S4 = sum_k sum_gg 3^{gg-2} (2^{2g-1-3k} + (-1)^k) (2k-2gg)!
-           / (gg! (k-gg)! (4k+3-2g-4gg)! (2g-1-3k)!),
-
-    with k from g//2 to (2g-2)//3 and gg from 0 to k-g//2. A negative
-    factorial in a denominator is a pole that zeroes its summand.
+    The sensed count is the sum of the rotation terms:
+      ("rooted",)   the rooted count averaged over the 2(6g-3) rootings;
+      ("S2",)       sum_gg (4g-2-2gg)! / (2 3^gg gg! (2g-1-gg)! (2g-4gg+1)!);
+      ("S3",)       (2g-2)! / (6 (g-1)!) sum_gg (3/4)^{gg-1} (2^{g+1-3gg} + (-1)^{g-gg}) / (gg! (g+1-3gg)!);
+      ("S4", k)     sum_gg 3^{gg-2} (2^{2g-1-3k} + (-1)^k) (2k-2gg)!
+                    / (gg! (k-gg)! (4k+3-2g-4gg)! (2g-1-3k)!), for k from g//2 to (2g-2)//3,
+    with gg from 0 to k-g//2 in S4. A negative factorial in a denominator is
+    a pole that zeroes its summand. The unsensed count is half the sensed
+    count plus the two integer reflection terms, yielded last:
+      ("reflection", "orientable")      the rooted count at genus g/2 (0 for odd g);
+      ("reflection", "non-orientable")  precubic_nonorientable_by_genus_pair(2g, g),
+    the period-2 quotient without branch points of a surface of Euler
+    characteristic 2-2g: a leafless map on g crosscaps. At g=1 that is the
+    formal value 1: the edgeless quotient still represents one reflection
+    class there.
 
     Consecutive summands in gg differ by a ratio of small integers, so each
     sum is a hypergeometric chain evaluated by Horner's rule: S2 is one
@@ -133,9 +144,9 @@ def sensed_cubic_orientable(g: int) -> int:
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
-    total = Fraction(rooted_cubic_orientable(g), 2 * (6 * g - 3))
+    yield ("rooted",), rooted_cubic_orientable(g), 2 * (6 * g - 3)
     # S2: 2g-4gg+1 >= 1 for every gg <= g//2, so no summand is a pole.
-    total += hypergeometric_sum(
+    yield ("S2",), *hypergeometric_sum(
         factorial(4 * g - 2),
         2 * factorial(2 * g - 1) * factorial(2 * g + 1),
         [
@@ -148,18 +159,21 @@ def sensed_cubic_orientable(g: int) -> int:
         ],
     )
     # S3, prefactor folded into the first summands; g+1-3gg >= 0 up to (g+1)//3.
+    # Both chains step by the same ratio denominators, so they share one
+    # denominator and their numerators add.
     falling = [(g + 1 - 3 * gg) * (g - 3 * gg) * (g - 1 - 3 * gg) for gg in range((g + 1) // 3)]
     den = 18 * factorial(g - 1) * factorial(g + 1)
-    total += hypergeometric_sum(
+    power, s3_den = hypergeometric_sum(
         2 ** (g + 3) * factorial(2 * g - 2), den, [(3 * f, 32 * (gg + 1)) for gg, f in enumerate(falling)]
     )
-    total += hypergeometric_sum(
-        (-1) ** g * 4 * factorial(2 * g - 2), den, [(-3 * f, 4 * (gg + 1)) for gg, f in enumerate(falling)]
+    sign, _ = hypergeometric_sum(
+        (-1) ** g * 4 * factorial(2 * g - 2), den, [(-24 * f, 32 * (gg + 1)) for gg, f in enumerate(falling)]
     )
+    yield ("S3",), power + sign, s3_den
     # S4: 2g-1-3k >= 1 throughout, and 4k+3-2g-4gg >= 0 ends each chain.
     for k in range(g // 2, (2 * g - 2) // 3 + 1):
         top = 4 * k + 3 - 2 * g
-        total += hypergeometric_sum(
+        yield ("S4", k), *hypergeometric_sum(
             (2 ** (2 * g - 1 - 3 * k) + (-1) ** k) * factorial(2 * k),
             9 * factorial(k) * factorial(top) * factorial(2 * g - 1 - 3 * k),
             [
@@ -170,30 +184,35 @@ def sensed_cubic_orientable(g: int) -> int:
                 for gg in range(min(k - g // 2, top // 4))
             ],
         )
-    return require_integer(total, f"sensed orientable count at g={g}")
+    yield ("reflection", "orientable"), rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0, 1
+    yield ("reflection", "non-orientable"), precubic_nonorientable_by_genus_pair(2 * g, g), 1
+
+
+def _orientable_counts(g: int) -> Tuple[int, int]:
+    """The sensed and unsensed counts at orientable genus g from one pass over its terms."""
+    terms = list(orientable_terms(g))
+    rotations = _assemble(term for term in terms if term[0][0] != "reflection")
+    sensed = require_integer(rotations, f"sensed orientable count at g={g}")
+    reflected = sum(num for key, num, _ in terms if key[0] == "reflection")  # integer terms
+    return sensed, exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
+
+
+def sensed_cubic_orientable(g: int) -> int:
+    """Count cubic one-face maps on the orientable genus-g surface up to rotation.
+
+    The sum of the rotation terms of orientable_terms(g): the rooted average
+    plus three correction sums for the maps fixed by nontrivial rotations
+    (quotient maps on orbifolds of genus gg below g).
+    """
+    return _orientable_counts(g)[0]
 
 
 def unsensed_cubic_orientable(g: int) -> int:
     """Count cubic one-face maps on the orientable genus-g surface up to all homeomorphisms.
 
-    Half of (sensed count + two reflection-quotient terms): the orientable
-    quotient contributes the rooted count at genus g/2 (zero for odd g). The
-    non-orientable one is the period-2 quotient without branch points of a
-    surface of Euler characteristic 2-2g, in covering-genus form
-    precubic_nonorientable_by_genus_pair(2g, g): a leafless map on g
-    crosscaps. At g=1 that is the formal value 1: the edgeless quotient still
-    represents one reflection class there.
+    Half of (sensed count + the two reflection terms of orientable_terms(g)).
     """
-    if g < 1:
-        raise ValueError(f"orientable genus must be >= 1 (got {g})")
-    return _unsensed_from_sensed(g, sensed_cubic_orientable(g))
-
-
-def _unsensed_from_sensed(g: int, sensed: int) -> int:
-    """The unsensed orientable count at genus g >= 1, given the sensed count there."""
-    halved = rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0
-    reflected = precubic_nonorientable_by_genus_pair(2 * g, g)
-    return exact_quotient(sensed + halved + reflected, 2, f"unsensed orientable count at g={g}")
+    return _orientable_counts(g)[1]
 
 
 # ============================================================
@@ -201,92 +220,83 @@ def _unsensed_from_sensed(g: int, sensed: int) -> int:
 # ============================================================
 
 
-def h2_term_nonorientable(g: int) -> Fraction:
-    """Period-2 contribution to the unsensed non-orientable count at genus g.
+def nonorientable_terms(g: int) -> Iterator[Term]:
+    """The named exact terms of the non-orientable genus-g census, as (key, numerator, denominator).
 
-    Half the epsilon-weighted sum of precubic quotient counts over the
-    period-2 orbifold family. Exact rational: integrality holds only for the
-    full assembly, not per term. Read from the walk that yields both
-    correction terms (_nonorientable_corrections).
-    """
-    if g < 2:
-        raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    return _nonorientable_corrections(g)[0]
-
-
-def hl_term_nonorientable(g: int) -> Fraction:
-    """Period-l (l >= 2) closed-orbifold contribution to the unsensed count at genus g.
-
-    Quarter of the sum over signature solutions of
-    epsilon * C(n_s+n_v, n_s) * (precubic count with n_s+n_v leaves),
-    re-rooted by the dart ratio: divided by 3g-3 + l*n_s/2, evaluated as the
-    exact rational (6g-6 + l*n_s)/2.
-
-    Summands sharing a dart count 6g-6 + l*n_s share their denominator, so
-    their integer numerators are added first and each distinct denominator
-    costs one reduction. The precubic counts come from the walk that yields
-    both correction terms (_nonorientable_corrections), one live value at a
-    time.
-    """
-    if g < 2:
-        raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    return _nonorientable_corrections(g)[1]
-
-
-def _nonorientable_corrections(g: int) -> Tuple[Fraction, Fraction]:
-    """The period-2 and period-l terms at genus g >= 2 from one walk over the precubic counts.
+      ("rooted",)                the rooted count averaged over the 4(3g-3) rootings;
+      ("h2", orientable, gg, r)  one per period-2 orbifold class (h2_orbifold_family):
+                                 half its epsilon times its precubic quotient count;
+      ("hl", l, gg, n_s, n_v)    one per closed signature with nonzero epsilon:
+                                 a quarter of epsilon * C(n_s+n_v, n_s) * (precubic count
+                                 with n_s+n_v leaves), divided by 3g-3 + l*n_s/2, that is
+                                 over the denominator 2(6g-6 + l*n_s).
+    Each term is exact but rational; only the whole sum is an integer.
 
     Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
     Every non-orientable quotient count, period-2 (gg, g-2gg) or closed
-    signature (gg, n_s+n_v) with nonzero epsilon, is a key (gg, k). The keys
-    are walked in (gg, k) order holding one live count: a repeated key reuses
-    it, a key one leaf past the last is one exact small-ratio step from it,
-    and any other key starts a new chain with one public precubic count. Each
-    contribution is added as soon as its count is known.
+    signature (gg, n_s+n_v), is a key (gg, k). The keys are walked in
+    (gg, k) order holding one live count: a repeated key reuses it, a key one
+    leaf past the last is one exact small-ratio step from it, and any other
+    key starts a new chain with one public precubic count. Each term is
+    yielded as soon as its count is known.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
     3 n_s + 4 n_v = (6g-6)/l > 0.
     """
-    h2 = 0
-    keys: List[Tuple[int, int, int, int]] = []  # (gg, k, dart count or 0 for the period-2 term, weight)
+    if g < 2:
+        raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
+    yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
+    walk: List[Tuple[int, int, tuple, int, int]] = []  # (gg, k, key, weight, denominator)
     quotients = 0
     for orb in h2_orbifold_family(g):
+        key = ("h2", orb.orientable, orb.genus, orb.branch_points)
         if orb.orientable:
             quotients = precubic_orientable(g, 0) if orb.genus == 0 else _orientable_gg_step(g, orb.genus, quotients)
-            h2 += epsilon_h2_orientable(orb.genus, orb.branch_points) * quotients
+            yield key, epsilon_h2_orientable(orb.genus, orb.branch_points) * quotients, 2
         else:
-            keys.append((orb.genus, orb.branch_points, 0, epsilon_h2_nonorientable(orb.genus, orb.branch_points)))
+            walk.append((orb.genus, orb.branch_points, key, epsilon_h2_nonorientable(orb.genus, orb.branch_points), 2))
     for l, gg, n_s, n_v in _closed_signatures(g):
         eps = epsilon_hl(l, gg, n_s, n_v)
         if eps:
-            keys.append((gg, n_s + n_v, 6 * g - 6 + l * n_s, eps * binomial(n_s + n_v, n_s)))
-    keys.sort()
-    by_darts: Dict[int, int] = defaultdict(int)
+            weight = eps * binomial(n_s + n_v, n_s)
+            walk.append((gg, n_s + n_v, ("hl", l, gg, n_s, n_v), weight, 2 * (6 * g - 6 + l * n_s)))
+    walk.sort()
     live_gg, live_k, value = 0, 0, 0
-    for gg, k, darts, weight in keys:
+    for gg, k, key, weight, den in walk:
         if (gg, k) != (live_gg, live_k):
             if gg == live_gg and k == live_k + 1:
                 value = _nonorientable_leaf_step(gg, live_k, value)
             else:
                 value = precubic_nonorientable_by_genus_pair(2 * gg + k, gg)
             live_gg, live_k = gg, k
-        if darts:
-            by_darts[darts] += weight * value
-        else:
-            h2 += weight * value
-    hl = sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
-    return Fraction(h2, 2), hl
+        yield key, weight * value, den
+
+
+def h2_term_nonorientable(g: int) -> Fraction:
+    """Period-2 contribution to the unsensed non-orientable count at genus g.
+
+    The sum of the ("h2", ...) terms of nonorientable_terms(g), one per
+    period-2 orbifold class. Exact rational: integrality holds only for the
+    full assembly, not per term.
+    """
+    return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "h2")
+
+
+def hl_term_nonorientable(g: int) -> Fraction:
+    """Period-l (l >= 2) closed-orbifold contribution to the unsensed count at genus g.
+
+    The sum of the ("hl", ...) terms of nonorientable_terms(g), one per
+    contributing closed signature. Summands sharing a dart count 6g-6 + l*n_s
+    share their denominator, so each distinct one costs one reduction.
+    """
+    return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "hl")
 
 
 def unsensed_cubic_nonorientable(g: int) -> int:
     """Count cubic one-face maps on the non-orientable genus-g surface up to all homeomorphisms.
 
-    Rooted count averaged over 4(3g-3) rootings, plus the period-2 and
-    period-l correction terms, both from one walk (_nonorientable_corrections).
+    The sum of nonorientable_terms(g): the rooted count averaged over
+    4(3g-3) rootings, plus the period-2 and period-l correction terms.
     """
-    if g < 2:
-        raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
-    h2, hl = _nonorientable_corrections(g)
-    total = Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3)) + h2 + hl
-    return require_integer(total, f"unsensed non-orientable count at g={g}")
+    return require_integer(_assemble(nonorientable_terms(g)), f"unsensed non-orientable count at g={g}")

@@ -17,7 +17,7 @@ so arbitrarily large counts round-trip; CSV uses no quoting and ends with a
 newline. `table` writes each row as soon as it is computed. Counts are
 printed in full at any size: Python's int-to-str digit limit is lifted while
 a command converts its counts to text, and restored afterwards. Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error or unwritable output.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import textwrap
 from dataclasses import dataclass
@@ -519,4 +520,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout is closed or full: what is still buffered, and the
+        # interpreter's flush at exit, go to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _usage_error(f"cannot write output: {exc}")
+    return code

@@ -105,9 +105,6 @@ class MapInvariants(SurfaceClass):
 
     degrees: Tuple[int, ...]
 
-    def vertex_count(self) -> int:
-        return len(self.degrees)
-
 
 # invariants -> number of gluings with them
 InvariantHistogram = Counter[MapInvariants]

@@ -48,10 +48,6 @@ class SurfaceClass:
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus if self.orientable else 2 - self.genus
 
-    def cubic_edges(self) -> int:
-        """Edge count of a cubic one-face map on this surface."""
-        return 3 - 3 * self.euler_characteristic()
-
 
 # ============================================================
 # The two closed forms, keyed by (surface genus, leaves)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
+from typing import Dict
 
 import pytest
 
@@ -12,13 +12,14 @@ from cubicmaps.census import (
     h2_term_nonorientable,
     hl_term_nonorientable,
     nonorientable_census_row,
+    nonorientable_terms,
     orientable_census_row,
     sensed_cubic_orientable,
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
 )
 from cubicmaps.exactnum import binomial
-from cubicmaps.golden import CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
+from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
@@ -93,25 +94,29 @@ def test_symmetric_map_terms_small_genus() -> None:
     assert hl_term_nonorientable(3) == Fraction(2, 3)
 
 
-def per_summand_h2_term(g: int) -> Fraction:
-    total = 0
+def per_summand_h2_term(g: int) -> Dict[tuple, Fraction]:
+    terms = {}
     for orb in h2_orbifold_family(g):
         if orb.orientable:
-            total += epsilon_h2_orientable(orb.genus, orb.branch_points) * precubic_orientable(g, orb.genus)
+            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
+            quotients = precubic_orientable(g, orb.genus)
         else:
             eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
-            total += eps * precubic_nonorientable_by_genus_pair(g, orb.genus)
-    return Fraction(total, 2)
+            quotients = precubic_nonorientable_by_genus_pair(g, orb.genus)
+        terms[("h2", orb.orientable, orb.genus, orb.branch_points)] = Fraction(eps * quotients, 2)
+    return terms
 
 
-def per_summand_hl_term(g: int) -> Fraction:
-    by_darts = defaultdict(int)
+def per_summand_hl_term(g: int) -> Dict[tuple, Fraction]:
+    terms = {}
     for sol in solve_closed_orbifolds(g):
         eps = epsilon_hl(sol.l, sol.genus, sol.n_s, sol.n_v)
-        k = sol.n_s + sol.n_v
-        quotients = precubic_nonorientable_by_leaves(sol.genus, k)
-        by_darts[6 * g - 6 + sol.l * sol.n_s] += eps * binomial(k, sol.n_s) * quotients
-    return sum((Fraction(num, 2 * darts) for darts, num in by_darts.items()), Fraction(0))
+        if eps:
+            k = sol.n_s + sol.n_v
+            quotients = precubic_nonorientable_by_leaves(sol.genus, k)
+            weighted = eps * binomial(k, sol.n_s) * quotients
+            terms[("hl", sol.l, sol.genus, sol.n_s, sol.n_v)] = Fraction(weighted, 2 * (6 * g - 6 + sol.l * sol.n_s))
+    return terms
 
 
 @pytest.mark.parametrize("g", list(range(2, 61)) + [1160, 1161])
@@ -119,8 +124,17 @@ def test_walked_terms_match_one_precubic_count_per_summand(g: int) -> None:
     # The census walks the quotient counts as chains of exact small-ratio
     # steps; these genera reach repeated keys, leaf steps, chain starts, the
     # formal value at (1, 0) (g = 2) and both crosscap parities.
-    assert h2_term_nonorientable(g) == per_summand_h2_term(g)
-    assert hl_term_nonorientable(g) == per_summand_hl_term(g)
+    h2, hl = per_summand_h2_term(g), per_summand_hl_term(g)
+    assert h2_term_nonorientable(g) == sum(h2.values())
+    assert hl_term_nonorientable(g) == sum(hl.values())
+    terms = [(key, Fraction(num, den)) for key, num, den in nonorientable_terms(g)]
+    assert len(dict(terms)) == len(terms)
+    assert dict(terms) == {("rooted",): Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3)), **h2, **hl}
+
+
+def test_signature_terms_are_the_closed_orbifold_rows() -> None:
+    keys = [(g,) + key[1:] for g in range(2, 9) for key, _, _ in nonorientable_terms(g) if key[0] == "hl"]
+    assert sorted(keys) == [row[:5] for row in CLOSED_ORBIFOLD_ROWS]
 
 
 def test_census_assembly_small_genus() -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,41 @@ def test_module_entry_point() -> None:
     )
     assert result.returncode == 0
     assert result.stdout == "50050\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--surface", "orientable", "--genus", "5", "--kind", "sensed"),
+        ("table", "--surface", "nonorientable", "--gmin", "2", "--gmax", "4"),
+        ("orbifolds", "--genus", "30"),
+        ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3"),
+    ],
+)
+def test_full_stdout_is_a_one_line_error(argv) -> None:
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "cubicmaps", *argv], stdout=full, stderr=subprocess.PIPE, text=True, check=False
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write output: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_closed_stdout_is_a_one_line_error() -> None:
+    # like `table ... | head -c 100`: the reader leaves while rows are still coming
+    argv = ("table", "--surface", "orientable", "--gmin", "1", "--gmax", "400")
+    with subprocess.Popen(
+        [sys.executable, "-m", "cubicmaps", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
 
 
 def test_demos_run() -> None:

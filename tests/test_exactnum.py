@@ -64,11 +64,15 @@ def test_exact_quotient() -> None:
 def test_hypergeometric_sum() -> None:
     # C(n, j+1) = C(n, j) (n-j)/(j+1): the row sum is 2^n
     for n in range(0, 12):
-        assert hypergeometric_sum(1, 1, [(n - j, j + 1) for j in range(n)]) == 2 ** n
+        assert Fraction(*hypergeometric_sum(1, 1, [(n - j, j + 1) for j in range(n)])) == 2 ** n
     # alternating reciprocal factorials, first term 3/2
     ratios = [(-1, j + 1) for j in range(6)]
-    assert hypergeometric_sum(3, 2, ratios) == sum(Fraction(3 * (-1) ** j, 2 * factorial(j)) for j in range(7))
-    assert hypergeometric_sum(5, 7, []) == Fraction(5, 7)
+    num, den = hypergeometric_sum(3, 2, ratios)
+    assert Fraction(num, den) == sum(Fraction(3 * (-1) ** j, 2 * factorial(j)) for j in range(7))
+    # unreduced: the first denominator times every ratio denominator, so
+    # chains with the same ratio denominators share their denominator
+    assert den == 2 * factorial(6)
+    assert Fraction(*hypergeometric_sum(5, 7, [])) == Fraction(5, 7)
 
 
 def test_prime_factorization() -> None:

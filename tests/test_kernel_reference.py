@@ -10,6 +10,7 @@ the kernels, only factorial, binomial and the orbifold enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Dict
 
 import pytest
 
@@ -17,6 +18,7 @@ from cubicmaps.census import (
     h2_term_nonorientable,
     hl_term_nonorientable,
     orientable_census_row,
+    orientable_terms,
     sensed_cubic_orientable,
     unsensed_cubic_orientable,
 )
@@ -122,13 +124,15 @@ def reference_precubic_by_genus_pair(g: int, gg: int) -> int:
     return require_integer(value)
 
 
-def reference_sensed(g: int) -> int:
-    total = Fraction(reference_rooted_cubic_orientable(g), 2 * (6 * g - 3))
+def reference_sensed_terms(g: int) -> Dict[tuple, Fraction]:
+    terms = {("rooted",): Fraction(reference_rooted_cubic_orientable(g), 2 * (6 * g - 3))}
+    second = Fraction(0)
     for gg in range(g // 2 + 1):
-        total += (
+        second += (
             Fraction(factorial(4 * g - 2 - 2 * gg), 2 * 3 ** gg * factorial(gg) * factorial(2 * g - 1 - gg))
             * factorial_or_zero_reciprocal(2 * g - 4 * gg + 1)
         )
+    terms[("S2",)] = second
     third = Fraction(0)
     for gg in range((g + 1) // 3 + 1):
         third += (
@@ -137,17 +141,23 @@ def reference_sensed(g: int) -> int:
             * Fraction(1, factorial(gg))
             * factorial_or_zero_reciprocal(g + 1 - 3 * gg)
         )
-    total += Fraction(factorial(2 * g - 2), 6 * factorial(g - 1)) * third
+    terms[("S3",)] = Fraction(factorial(2 * g - 2), 6 * factorial(g - 1)) * third
     for k in range(g // 2, (2 * g - 2) // 3 + 1):
+        fourth = Fraction(0)
         for gg in range(k - g // 2 + 1):
-            total += (
+            fourth += (
                 Fraction(3) ** (gg - 2)
                 * (2 ** (2 * g - 1 - 3 * k) + (-1) ** k)
                 * Fraction(factorial(2 * k - 2 * gg), factorial(gg) * factorial(k - gg))
                 * factorial_or_zero_reciprocal(4 * k + 3 - 2 * g - 4 * gg)
                 * factorial_or_zero_reciprocal(2 * g - 1 - 3 * k)
             )
-    return require_integer(total)
+        terms[("S4", k)] = fourth
+    return terms
+
+
+def reference_sensed(g: int) -> int:
+    return require_integer(sum(reference_sensed_terms(g).values()))
 
 
 def reference_unsensed(g: int) -> int:
@@ -199,6 +209,17 @@ def test_orientable_kernels_match_literal_sums(g: int) -> None:
     assert unsensed_cubic_orientable(g) == unsensed
     row = orientable_census_row(g)
     assert (row.sensed, row.unsensed) == (sensed, unsensed)
+
+
+@pytest.mark.parametrize("g", GENERA)
+def test_orientable_terms_match_literal_parts(g: int) -> None:
+    terms = [(key, Fraction(num, den)) for key, num, den in orientable_terms(g)]
+    assert len(dict(terms)) == len(terms)
+    assert dict(terms) == {
+        **reference_sensed_terms(g),
+        ("reflection", "orientable"): reference_rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0,
+        ("reflection", "non-orientable"): reference_precubic_by_genus_pair(2 * g, g),
+    }
 
 
 @pytest.mark.parametrize("g", [g for g in GENERA if g >= 2])

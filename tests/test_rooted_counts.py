@@ -31,13 +31,6 @@ def test_surface_class_validation() -> None:
         SurfaceClass(False, 0)
 
 
-def test_surface_class_cubic_edges() -> None:
-    assert SurfaceClass(True, 1).cubic_edges() == 3
-    assert SurfaceClass(True, 2).cubic_edges() == 9
-    assert SurfaceClass(False, 2).cubic_edges() == 3
-    assert SurfaceClass(False, 3).cubic_edges() == 6
-
-
 def test_rooted_cubic_orientable_census() -> None:
     for g, (rooted, _, _) in CUBIC_ORIENTABLE.items():
         assert rooted_cubic_orientable(g) == rooted
