@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .exactnum import (
@@ -33,11 +34,10 @@ from .exactnum import (
     require_integer,
 )
 from .orbifolds import (
-    _closed_signatures,
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
-    epsilon_hl,
     h2_orbifold_family,
+    solve_closed_orbifolds,
 )
 from .rooted_counts import (
     _nonorientable_leaf_step,
@@ -91,18 +91,13 @@ class CensusRow:
 
 def orientable_census_row(g: int) -> CensusRow:
     """The (rooted, sensed, unsensed) row for the orientable genus-g surface."""
-    sensed, unsensed = _orientable_counts(g)
-    return CensusRow(genus=g, rooted=rooted_cubic_orientable(g), sensed=sensed, unsensed=unsensed)
+    return CensusRow(g, *_orientable_counts(g))
 
 
 def nonorientable_census_row(g: int) -> CensusRow:
     """The (rooted, unsensed) row for the non-orientable genus-g surface."""
-    return CensusRow(
-        genus=g,
-        rooted=rooted_cubic_nonorientable(g),
-        sensed=None,
-        unsensed=unsensed_cubic_nonorientable(g),
-    )
+    rooted, unsensed = _nonorientable_counts(g)
+    return CensusRow(g, rooted, None, unsensed)
 
 
 def _assemble(terms: Iterable[Term]) -> Fraction:
@@ -188,13 +183,14 @@ def orientable_terms(g: int) -> Iterator[Term]:
     yield ("reflection", "non-orientable"), precubic_nonorientable_by_genus_pair(2 * g, g), 1
 
 
-def _orientable_counts(g: int) -> Tuple[int, int]:
-    """The sensed and unsensed counts at orientable genus g from one pass over its terms."""
+def _orientable_counts(g: int) -> Tuple[int, int, int]:
+    """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms."""
     terms = list(orientable_terms(g))
     rotations = _assemble(term for term in terms if term[0][0] != "reflection")
     sensed = require_integer(rotations, f"sensed orientable count at g={g}")
     reflected = sum(num for key, num, _ in terms if key[0] == "reflection")  # integer terms
-    return sensed, exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
+    # terms[0] is ("rooted",), whose numerator is the rooted count
+    return terms[0][1], sensed, exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
 
 
 def sensed_cubic_orientable(g: int) -> int:
@@ -204,7 +200,7 @@ def sensed_cubic_orientable(g: int) -> int:
     plus three correction sums for the maps fixed by nontrivial rotations
     (quotient maps on orbifolds of genus gg below g).
     """
-    return _orientable_counts(g)[0]
+    return _orientable_counts(g)[1]
 
 
 def unsensed_cubic_orientable(g: int) -> int:
@@ -212,7 +208,7 @@ def unsensed_cubic_orientable(g: int) -> int:
 
     Half of (sensed count + the two reflection terms of orientable_terms(g)).
     """
-    return _orientable_counts(g)[1]
+    return _orientable_counts(g)[2]
 
 
 # ============================================================
@@ -226,10 +222,10 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
       ("rooted",)                the rooted count averaged over the 4(3g-3) rootings;
       ("h2", orientable, gg, r)  one per period-2 orbifold class (h2_orbifold_family):
                                  half its epsilon times its precubic quotient count;
-      ("hl", l, gg, n_s, n_v)    one per closed signature with nonzero epsilon:
-                                 a quarter of epsilon * C(n_s+n_v, n_s) * (precubic count
-                                 with n_s+n_v leaves), divided by 3g-3 + l*n_s/2, that is
-                                 over the denominator 2(6g-6 + l*n_s).
+      ("hl", l, gg, n_s, n_v)    one per signature of solve_closed_orbifolds(g) with nonzero
+                                 epsilon: a quarter of epsilon * C(n_s+n_v, n_s) * (precubic
+                                 count with n_s+n_v leaves), divided by 3g-3 + l*n_s/2, that
+                                 is over the denominator 2(6g-6 + l*n_s).
     Each term is exact but rational; only the whole sum is an integer.
 
     Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
@@ -247,30 +243,33 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
-    walk: List[Tuple[int, int, tuple, int, int]] = []  # (gg, k, key, weight, denominator)
+    # (gg, k, 0, period-2 class) or (gg, k, 1, signature): the 0 sorts period 2
+    # first within a key, and the signature records themselves then sort in
+    # (l, n_s) order. Each term is built only when the walk reaches it.
+    walk: List[Tuple[int, int, int, tuple]] = []
     quotients = 0
     for orb in h2_orbifold_family(g):
-        key = ("h2", orb.orientable, orb.genus, orb.branch_points)
         if orb.orientable:
+            key = ("h2", True, orb.genus, orb.branch_points)
             quotients = precubic_orientable(g, 0) if orb.genus == 0 else _orientable_gg_step(g, orb.genus, quotients)
             yield key, epsilon_h2_orientable(orb.genus, orb.branch_points) * quotients, 2
         else:
-            walk.append((orb.genus, orb.branch_points, key, epsilon_h2_nonorientable(orb.genus, orb.branch_points), 2))
-    for l, gg, n_s, n_v in _closed_signatures(g):
-        eps = epsilon_hl(l, gg, n_s, n_v)
-        if eps:
-            weight = eps * binomial(n_s + n_v, n_s)
-            walk.append((gg, n_s + n_v, ("hl", l, gg, n_s, n_v), weight, 2 * (6 * g - 6 + l * n_s)))
+            walk.append((orb.genus, orb.branch_points, 0, orb))
+    walk += ((s.genus, s.n_s + s.n_v, 1, s) for s in solve_closed_orbifolds(g) if s.epsilon)
     walk.sort()
     live_gg, live_k, value = 0, 0, 0
-    for gg, k, key, weight, den in walk:
+    for gg, k, signature, record in walk:
         if (gg, k) != (live_gg, live_k):
             if gg == live_gg and k == live_k + 1:
                 value = _nonorientable_leaf_step(gg, live_k, value)
             else:
                 value = precubic_nonorientable_by_genus_pair(2 * gg + k, gg)
             live_gg, live_k = gg, k
-        yield key, weight * value, den
+        if signature:
+            l, _, n_s, n_v, eps = record
+            yield ("hl", l, gg, n_s, n_v), eps * binomial(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
+        else:
+            yield ("h2", False, gg, k), epsilon_h2_nonorientable(gg, k) * value, 2
 
 
 def h2_term_nonorientable(g: int) -> Fraction:
@@ -293,10 +292,18 @@ def hl_term_nonorientable(g: int) -> Fraction:
     return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "hl")
 
 
+def _nonorientable_counts(g: int) -> Tuple[int, int]:
+    """The rooted and unsensed counts at non-orientable genus g from one pass over its terms."""
+    terms = nonorientable_terms(g)
+    rooted = next(terms)  # ("rooted",), whose numerator is the rooted count
+    total = _assemble(chain([rooted], terms))
+    return rooted[1], require_integer(total, f"unsensed non-orientable count at g={g}")
+
+
 def unsensed_cubic_nonorientable(g: int) -> int:
     """Count cubic one-face maps on the non-orientable genus-g surface up to all homeomorphisms.
 
     The sum of nonorientable_terms(g): the rooted count averaged over
     4(3g-3) rootings, plus the period-2 and period-l correction terms.
     """
-    return require_integer(_assemble(nonorientable_terms(g)), f"unsensed non-orientable count at g={g}")
+    return _nonorientable_counts(g)[1]

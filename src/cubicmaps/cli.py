@@ -77,6 +77,10 @@ MAX_GENUS = 2000
 # takes about 2.5 min at --max-edges-full 10 and 6 min at --max-edges-orientable 13.
 MAX_EDGES_FULL = 10
 MAX_EDGES_ORIENTABLE = 13
+# The ranges of the census suites of `verify`.
+INTEGRALITY_GENUS_MAX = 200
+SPECIALIZATION_GENUS_MAX = 12
+SPECIALIZATION_BOUNDARY_MAX = 12
 
 
 def _usage_error(message: str) -> int:
@@ -236,11 +240,20 @@ class Check:
 
 
 def _first_mismatch(label: str, cases: Iterable[Tuple[str, object, object]], ok: str = "equal") -> Check:
-    """One check over many (description, got, want) comparisons, naming the first that differs."""
-    for description, got, want in cases:
-        if got != want:
-            return Check(label, f"{description}: {got} != {want}", ok, False)
-    return Check(label, ok, ok, True)
+    """One check over many (description, got, want) comparisons, naming the first that differs.
+
+    `cases` is read inside the guard, so a case that raises ArithmeticError or
+    ValueError fails the check. A `{}` in `label` is filled with the number of
+    comparisons made.
+    """
+    made = 0
+    try:
+        for made, (description, got, want) in enumerate(cases, 1):
+            if got != want:
+                return Check(label.format(made), f"{description}: {got} != {want}", ok, False)
+    except (ArithmeticError, ValueError) as exc:
+        return Check(label.format(made), f"error: {exc}", ok, False)
+    return Check(label.format(made), ok, ok, True)
 
 
 def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
@@ -315,14 +328,14 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
     return checks
 
 
-def suite_integrality(g_max: int = 200) -> List[Check]:
-    """Every census row through genus g_max is exact and within the bounds CensusRow enforces."""
-    label = f"census integrality through genus {g_max}"
+def suite_integrality() -> List[Check]:
+    """Every census row through INTEGRALITY_GENUS_MAX is exact and within the bounds CensusRow enforces."""
+    label = f"census integrality through genus {INTEGRALITY_GENUS_MAX}"
     want = "every count an exact integer"
     try:
-        for g in range(1, g_max + 1):
+        for g in range(1, INTEGRALITY_GENUS_MAX + 1):
             orientable_census_row(g)
-        for g in range(2, g_max + 1):
+        for g in range(2, INTEGRALITY_GENUS_MAX + 1):
             nonorientable_census_row(g)
     except (ArithmeticError, ValueError) as exc:
         # ArithmeticError: a non-integral count; ValueError: a row outside its sandwich bounds
@@ -330,12 +343,15 @@ def suite_integrality(g_max: int = 200) -> List[Check]:
     return [Check(label, want, want, True)]
 
 
-def suite_specialization(g_max: int = 12, boundary_max: int = 12) -> List[Check]:
-    """The general epimorphism closed forms agree with the epsilon shortcuts."""
-    signatures = [(g, sol) for g in range(2, g_max + 1) for sol in solve_closed_orbifolds(g)]
+def suite_specialization() -> List[Check]:
+    """The general epimorphism closed forms agree with the epsilon shortcuts.
+
+    Closed signatures through genus SPECIALIZATION_GENUS_MAX; boundary
+    quotients with genus and branch count up to SPECIALIZATION_BOUNDARY_MAX.
+    """
     checks = [
         _first_mismatch(
-            f"closed signatures: epi - epi_plus = epsilon ({len(signatures)} signatures, genus <= {g_max})",
+            f"closed signatures: epi - epi_plus = epsilon ({{}} signatures, genus <= {SPECIALIZATION_GENUS_MAX})",
             (
                 (
                     f"signature (g={g}, l={sol.l}, genus={sol.genus}, ns={sol.n_s}, nv={sol.n_v})",
@@ -343,7 +359,8 @@ def suite_specialization(g_max: int = 12, boundary_max: int = 12) -> List[Check]
                     - epi_plus_nonorientable_closed(sol.genus, sol.branch_indices(), sol.l),
                     sol.epsilon,
                 )
-                for g, sol in signatures
+                for g in range(2, SPECIALIZATION_GENUS_MAX + 1)
+                for sol in solve_closed_orbifolds(g)
             ),
         )
     ]
@@ -354,15 +371,15 @@ def suite_specialization(g_max: int = 12, boundary_max: int = 12) -> List[Check]
     for kind, lowest_genus, epi, epi_plus, epsilon in boundary_forms:
         checks.append(
             _first_mismatch(
-                f"{kind} boundary quotients: epi - epi_plus = epsilon (genus, branch <= {boundary_max})",
+                f"{kind} boundary quotients: epi - epi_plus = epsilon (genus, branch <= {SPECIALIZATION_BOUNDARY_MAX})",
                 (
                     (
                         f"{kind} boundary quotient (genus {gg}, {r} branch points)",
                         epi(gg, 1, [2] * r, 2) - epi_plus(gg, 1, [2] * r, 2),
                         epsilon(gg, r),
                     )
-                    for gg in range(lowest_genus, boundary_max + 1)
-                    for r in range(boundary_max + 1)
+                    for gg in range(lowest_genus, SPECIALIZATION_BOUNDARY_MAX + 1)
+                    for r in range(SPECIALIZATION_BOUNDARY_MAX + 1)
                 ),
             )
         )
@@ -394,18 +411,14 @@ def suite_tables() -> List[Check]:
         ),
         _first_mismatch(
             "closed signatures with nonzero epsilon, genus 2..8",
-            [
+            (
                 (
                     "rows (g, l, genus, ns, nv, epsilon)",
-                    sorted(
-                        (g, s.l, s.genus, s.n_s, s.n_v, s.epsilon)
-                        for g in range(2, 9)
-                        for s in solve_closed_orbifolds(g)
-                        if s.contributes
-                    ),
+                    [(g, *s) for g in range(2, 9) for s in solve_closed_orbifolds(g) if s.contributes],
                     sorted(CLOSED_ORBIFOLD_ROWS),
                 )
-            ],
+                for _ in range(1)  # one comparison, built lazily inside the guard
+            ),
             "all 24 rows reproduced",
         ),
     ]
@@ -427,9 +440,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("table-reproduction", suite_tables),
     )
 
-    # opened before any suite runs, so an unwritable path fails at once
+    # Opened before any suite runs, so an unwritable path fails at once, but
+    # for appending: an existing report is emptied only once the new one is
+    # ready, so an early stop leaves it as it was.
     try:
-        report_file = open(args.report, "w", encoding="utf-8") if args.report else None
+        report_file = open(args.report, "a", encoding="utf-8") if args.report else None
     except OSError as exc:
         return _usage_error(f"cannot write report: {exc}")
     with report_file or contextlib.nullcontext():
@@ -462,6 +477,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ],
             }
             try:
+                if report_file.seekable():
+                    report_file.truncate(0)
                 json.dump(report, report_file, indent=2)
                 report_file.write("\n")
                 report_file.flush()

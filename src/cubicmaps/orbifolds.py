@@ -13,17 +13,20 @@ quotient map on an orbifold. Two families matter here:
 Each admissible signature carries a coefficient epsilon: the number of
 order-preserving epimorphisms from the orbifold fundamental group onto the
 cyclic group Z_l minus the orientation-and-order-preserving ones. The solver
-below enumerates the closed signatures for a given genus, and the epi_*
+below lists the closed signatures for a given genus; the census, the
+`orbifolds` command and `verify` all read that one list. The epi_*
 operations implement the general closed forms (Jordan-totient expressions)
 that the epsilon shortcuts specialize; the test suite holds the two routes
 together.
+
+The records (H2OrbifoldClass, SignatureSolution) are plain named tuples:
+only the generators below build them, so they carry no constructor checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
 
@@ -33,8 +36,7 @@ from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
 # ============================================================
 
 
-@dataclass(frozen=True)
-class H2OrbifoldClass:
+class H2OrbifoldClass(NamedTuple):
     """One admissible quotient orbifold of a period-2 symmetry.
 
     `genus` is handles when orientable, crosscaps otherwise; `branch_points`
@@ -44,12 +46,6 @@ class H2OrbifoldClass:
     orientable: bool
     genus: int
     branch_points: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.branch_points < 0:
-            raise ValueError("orbifold parameters must be nonnegative")
-        if not self.orientable and self.genus < 1:
-            raise ValueError("a non-orientable orbifold needs at least one crosscap")
 
 
 def h2_orbifold_family(g: int) -> List[H2OrbifoldClass]:
@@ -90,8 +86,7 @@ def epsilon_h2_nonorientable(gg: int, r: int) -> int:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SignatureSolution:
+class SignatureSolution(NamedTuple):
     """A closed non-orientable orbifold signature with its epsilon coefficient.
 
     Signature: gg crosscaps, n_s index-2 points, n_v index-3 points, plus the
@@ -105,18 +100,6 @@ class SignatureSolution:
     n_v: int
     epsilon: int
 
-    def __post_init__(self) -> None:
-        if self.l < 2:
-            raise ValueError(f"period must be >= 2 (got {self.l})")
-        if self.genus < 1:
-            raise ValueError(f"crosscap count must be >= 1 (got {self.genus})")
-        if self.n_s < 0 or self.n_v < 0:
-            raise ValueError("branch point counts must be nonnegative")
-        if self.n_s > 0 and self.l % 2 != 0:
-            raise ValueError("index-2 points require an even period")
-        if self.n_v > 0 and self.l % 3 != 0:
-            raise ValueError("index-3 points require a period divisible by 3")
-
     @property
     def contributes(self) -> bool:
         return self.epsilon != 0
@@ -126,8 +109,18 @@ class SignatureSolution:
         return [2] * self.n_s + [3] * self.n_v + [self.l]
 
 
-def _closed_signatures(g: int) -> Iterator[Tuple[int, int, int, int]]:
-    """The (l, gg, n_s, n_v) solving 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v), l >= 2, in loop order."""
+def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
+    """All closed-orbifold signatures for period-l symmetries, l >= 2, of genus g.
+
+    Solves 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v) subject to: l divides 6g-6 and
+    stays within the period bound (2g-2 for even g, 2g for odd g); gg in
+    [1, (g+l-1)//l]; n_s > 0 only for even l, n_v > 0 only for l divisible
+    by 3. Epsilon = 0 included; empty for g < 2. The loops emit the list in
+    (l, gg, n_s, n_v) order: within one (l, gg), n_v falls and so n_s rises.
+    """
+    if g < 2:
+        return []
+    out: List[SignatureSolution] = []
     bound = 2 * g - 2 if g % 2 == 0 else 2 * g
     for l in range(2, bound + 1):
         if (6 * g - 6) % l != 0:
@@ -136,31 +129,10 @@ def _closed_signatures(g: int) -> Iterator[Tuple[int, int, int, int]]:
         for gg in range(1, (g + l - 1) // l + 1):
             rest = (6 * g - 6) // l - 6 * gg + 6
             # 4 n_v = rest - 3 n_s forces n_v = rest (mod 3); n_v > 0 needs 3 | l
-            for n_v in range(rest % 3, (rest // 4 if l % 3 == 0 else 0) + 1, 3):
+            for n_v in reversed(range(rest % 3, (rest // 4 if l % 3 == 0 else 0) + 1, 3)):
                 n_s = (rest - 4 * n_v) // 3
-                if n_s > 0 and l % 2 != 0:
-                    continue
-                yield l, gg, n_s, n_v
-
-
-def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
-    """All closed-orbifold signatures for period-l symmetries, l >= 2, of genus g.
-
-    Solves 6g-6 = l (6gg - 6 + 3 n_s + 4 n_v) subject to: l divides 6g-6 and
-    stays within the period bound (2g-2 for even g, 2g for odd g); gg in
-    [1, (g+l-1)//l]; n_s > 0 only for even l, n_v > 0 only for l divisible
-    by 3. Sorted by (l, gg, n_s, n_v), epsilon = 0 included. Empty for g < 2.
-
-    The census reads the same solutions straight from the solver's loops
-    (_closed_signatures) and keeps only those with nonzero epsilon, without
-    building these records.
-    """
-    if g < 2:
-        return []
-    out = [
-        SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)) for l, gg, n_s, n_v in _closed_signatures(g)
-    ]
-    out.sort(key=lambda s: (s.l, s.genus, s.n_s, s.n_v))
+                if n_s == 0 or l % 2 == 0:
+                    out.append(SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
     return out
 
 

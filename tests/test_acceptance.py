@@ -10,7 +10,15 @@ from __future__ import annotations
 import time
 
 from cubicmaps.census import sensed_cubic_orientable, unsensed_cubic_orientable
-from cubicmaps.cli import main, suite_integrality, suite_oracle_equivalence, suite_specialization
+from cubicmaps.cli import (
+    INTEGRALITY_GENUS_MAX,
+    SPECIALIZATION_BOUNDARY_MAX,
+    SPECIALIZATION_GENUS_MAX,
+    main,
+    suite_integrality,
+    suite_oracle_equivalence,
+    suite_specialization,
+)
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.oracle import count_rooted, count_sensed_orientable, count_unsensed
 from cubicmaps.rooted_counts import SurfaceClass, precubic_nonorientable_by_genus_pair, rooted_cubic_orientable
@@ -128,7 +136,8 @@ def test_criterion_7_precubic_oracle_equivalence() -> None:
 
 def test_criterion_8_property_suites() -> None:
     start = time.perf_counter()
-    checks = suite_integrality(g_max=200) + suite_specialization(g_max=12, boundary_max=12)
+    assert (INTEGRALITY_GENUS_MAX, SPECIALIZATION_GENUS_MAX, SPECIALIZATION_BOUNDARY_MAX) == (200, 12, 12)
+    checks = suite_integrality() + suite_specialization()
     elapsed = time.perf_counter() - start
     assert len(checks) == 4
     assert [check for check in checks if not check.passed] == []

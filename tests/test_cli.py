@@ -382,7 +382,12 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
 
 @pytest.mark.parametrize(
     "name, suite",
-    [("orientable_census_row", "integrality"), ("count_sensed_orientable", "oracle-equivalence")],
+    [
+        ("orientable_census_row", "integrality"),
+        ("count_sensed_orientable", "oracle-equivalence"),
+        ("epsilon_h2_orientable", "specialization"),
+        ("unsensed_cubic_nonorientable", "table-reproduction"),
+    ],
 )
 def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suite) -> None:
     def broken(*args, **kwargs):
@@ -406,6 +411,24 @@ def test_verify_unwritable_report_fails_before_any_suite(capsys, monkeypatch, tm
     code, out, err = _run(capsys, "verify", "--report", str(tmp_path / "missing" / "report.json"))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write report: ")
+
+
+def test_verify_early_stop_keeps_an_existing_report(tmp_path) -> None:
+    # a subprocess, because an OSError sends main() to redirect the real stdout
+    script = (
+        "import sys, cubicmaps.cli as cli\n"
+        "def stopped():\n"
+        "    raise OSError(28, 'No space left on device')\n"
+        "cli.suite_integrality = stopped\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(b"old report\n")
+    argv = ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3", "--report", str(report_path))
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, check=False)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+    assert report_path.read_bytes() == b"old report\n"
 
 
 def test_verify_rejects_uncalibratable_limits(capsys) -> None:

@@ -42,13 +42,6 @@ def test_h2_orbifold_family_branch_accounting() -> None:
             assert orb.branch_points >= 0
 
 
-def test_h2_orbifold_class_validation() -> None:
-    with pytest.raises(ValueError):
-        H2OrbifoldClass(True, -1, 0)
-    with pytest.raises(ValueError):
-        H2OrbifoldClass(False, 0, 2)
-
-
 def test_epsilon_h2_values() -> None:
     assert epsilon_h2_orientable(0, 2) == 1
     assert epsilon_h2_orientable(0, 0) == 0
@@ -67,12 +60,6 @@ def test_signature_solution_validation() -> None:
     assert sol.contributes
     assert sol.branch_indices() == [2, 6]
     assert SignatureSolution(2, 1, 4, 0, 0).contributes is False
-    with pytest.raises(ValueError):
-        SignatureSolution(1, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        SignatureSolution(3, 1, 1, 0, 1)  # index-2 points need an even period
-    with pytest.raises(ValueError):
-        SignatureSolution(4, 1, 0, 1, 1)  # index-3 points need 3 | period
 
 
 def test_solve_closed_orbifolds_small_cases() -> None:
