@@ -40,6 +40,7 @@ from .orbifolds import (
     solve_closed_orbifolds,
 )
 from .rooted_counts import (
+    _nonorientable_gg_step,
     _nonorientable_leaf_step,
     _orientable_gg_step,
     precubic_nonorientable_by_genus_pair,
@@ -230,11 +231,15 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
 
     Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
     Every non-orientable quotient count, period-2 (gg, g-2gg) or closed
-    signature (gg, n_s+n_v), is a key (gg, k). The keys are walked in
-    (gg, k) order holding one live count: a repeated key reuses it, a key one
-    leaf past the last is one exact small-ratio step from it, and any other
-    key starts a new chain with one public precubic count. Each term is
-    yielded as soon as its count is known.
+    signature (gg, n_s+n_v), is a key (gg, k), and the keys are walked in
+    (gg, k) order. The period-2 keys come from two chains in h, one per
+    parity of gg, each stepped two crosscaps at a time by an exact ratio:
+    odd gg = 2h+1 from 4^{g-2} at gg = 1, even gg = 2h from the closed form
+    at gg = 2. The walk holds the last count it read as the live count. A
+    signature key equal to it reuses it, one leaf past it is one exact
+    small-ratio step from it, and any other signature key starts a new chain
+    with one public precubic count: only signature keys start chains from
+    the closed form. Each term is yielded as soon as its count is known.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
@@ -257,14 +262,24 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
             walk.append((orb.genus, orb.branch_points, 0, orb))
     walk += ((s.genus, s.n_s + s.n_v, 1, s) for s in solve_closed_orbifolds(g) if s.epsilon)
     walk.sort()
+    # chains[gg % 2]: the count at the last period-2 key of that parity and its N_h
+    chains = [(0, 0), (0, 0)]
     live_gg, live_k, value = 0, 0, 0
     for gg, k, signature, record in walk:
-        if (gg, k) != (live_gg, live_k):
+        if not signature:
+            if gg == 1:
+                chains[1] = 4 ** (g - 2), 0
+            elif gg == 2:
+                chains[0] = precubic_nonorientable_by_genus_pair(g, 2), 1
+            else:
+                chains[gg % 2] = _nonorientable_gg_step(g, gg, *chains[gg % 2])
+            value = chains[gg % 2][0]
+        elif (gg, k) != (live_gg, live_k):
             if gg == live_gg and k == live_k + 1:
                 value = _nonorientable_leaf_step(gg, live_k, value)
             else:
                 value = precubic_nonorientable_by_genus_pair(2 * gg + k, gg)
-            live_gg, live_k = gg, k
+        live_gg, live_k = gg, k
         if signature:
             l, _, n_s, n_v, eps = record
             yield ("hl", l, gg, n_s, n_v), eps * binomial(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)

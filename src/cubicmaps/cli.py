@@ -542,9 +542,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
     except OSError as exc:
         # stdout is closed or full: what is still buffered, and the
-        # interpreter's flush at exit, go to the null device instead
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # interpreter's flush at exit, go to the null device instead. A
+        # stdout with no descriptor (a StringIO) raises io.UnsupportedOperation,
+        # a ValueError, and is left as it is.
+        with contextlib.suppress(ValueError):
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
         return _usage_error(f"cannot write output: {exc}")
     return code

@@ -13,18 +13,20 @@ non-orientable ones, and every public count is a range guard plus one call
 to it. The census reads the forms for the quotient maps of symmetries,
 whose branch points become leaves. Each form is one integer numerator over
 one integer denominator, divided with a remainder check (exact_quotient),
-so a wrong transcription raises instead of rounding. Two private steps give
-the census a neighbouring count from a known one by a ratio of small
-integers, again with a remainder check.
+so a wrong transcription raises instead of rounding. Three private steps
+give the census a neighbouring count from a known one by an exact ratio,
+again with a remainder check: an orientable period-2 quotient one handle
+further, a non-orientable period-2 quotient two crosscaps further (one chain
+per parity of the crosscaps), and any non-orientable count one leaf further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
-from .exactnum import exact_quotient, factorial
+from .exactnum import binomial, exact_quotient, factorial
 
 
 # ============================================================
@@ -116,6 +118,26 @@ def _nonorientable_leaf_step(gg: int, k: int, value: int) -> int:
     else:
         num, den = 4 * (k + 1 + 3 * h), k + 1
     return exact_quotient(value * num, den, f"precubic non-orientable count at (gg={gg}, k={k + 1})")
+
+
+def _nonorientable_gg_step(g: int, gg: int, value: int, partial: int) -> Tuple[int, int]:
+    """(precubic_nonorientable_by_genus_pair(g, gg), N) for gg >= 3 from value, the count at gg-2.
+
+    With h = (gg-2)//2 and k = g-2gg+4 the leaves at gg-2, the ratio is
+    k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) for odd gg, where partial passes
+    through unused. For even gg, partial is N_h of c_coefficient, stepped to
+    N_{h+1} = 16 N_h + C(2h, h) and returned, and the ratio is
+    N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
+    A big-by-small product and an exact division, so a wrong ratio raises.
+    """
+    h, k = (gg - 2) // 2, g - 2 * gg + 4
+    falling = k * (k - 1) * (k - 2) * (k - 3)
+    context = f"precubic non-orientable count at (g={g}, gg={gg})"
+    if gg % 2:
+        return exact_quotient(value * falling, 12 * (h + 1) * (g - h - 2), context), partial
+    stepped = 16 * partial + binomial(2 * h, h)
+    num = value * (stepped * falling * (g - h - 2))
+    return exact_quotient(num, 24 * (2 * h + 1) * partial * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4), context), stepped
 
 
 def c_coefficient(h: int) -> Fraction:

@@ -7,6 +7,7 @@ from typing import Dict
 
 import pytest
 
+from cubicmaps import census
 from cubicmaps.census import (
     CensusRow,
     h2_term_nonorientable,
@@ -18,7 +19,7 @@ from cubicmaps.census import (
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
 )
-from cubicmaps.exactnum import binomial
+from cubicmaps.exactnum import binomial, exact_quotient
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.orbifolds import (
     epsilon_h2_nonorientable,
@@ -28,6 +29,7 @@ from cubicmaps.orbifolds import (
     solve_closed_orbifolds,
 )
 from cubicmaps.rooted_counts import (
+    _nonorientable_leaf_step,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -130,6 +132,51 @@ def test_walked_terms_match_one_precubic_count_per_summand(g: int) -> None:
     terms = [(key, Fraction(num, den)) for key, num, den in nonorientable_terms(g)]
     assert len(dict(terms)) == len(terms)
     assert dict(terms) == {("rooted",): Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3)), **h2, **hl}
+
+
+def walked_period_two_values(monkeypatch, g: int) -> Dict[int, int]:
+    """The non-orientable period-2 quotient counts the walk reads at genus g, by crosscaps."""
+    # The two parity chains in h never read a signature, so the walk runs without them.
+    monkeypatch.setattr(census, "solve_closed_orbifolds", lambda g: [])
+    return {
+        key[2]: exact_quotient(num, epsilon_h2_nonorientable(key[2], key[3]))
+        for key, num, _ in nonorientable_terms(g)
+        if key[:2] == ("h2", False)
+    }
+
+
+@pytest.mark.parametrize("g", range(2, 201))
+def test_period_two_chains_match_the_closed_form(monkeypatch, g: int) -> None:
+    # g = 2, 3 have no even-crosscap key and g = 4, 5 only its start
+    want = {gg: precubic_nonorientable_by_genus_pair(g, gg) for gg in range(1, g // 2 + 1)}
+    assert walked_period_two_values(monkeypatch, g) == want
+
+
+@pytest.mark.parametrize("first, last", [(1150, 1173), (1999, 2000)])
+def test_period_two_chains_match_the_closed_form_at_deep_genera(monkeypatch, first: int, last: int) -> None:
+    # The closed form at the first genus, then one exact leaf step per genus:
+    # the key (gg, g-2gg) gains one leaf when g grows by one, and the new
+    # leafless key at even g is one closed form.
+    want = {gg: precubic_nonorientable_by_genus_pair(first, gg) for gg in range(1, first // 2 + 1)}
+    for g in range(first, last + 1):
+        if g > first:
+            want = {gg: _nonorientable_leaf_step(gg, g - 1 - 2 * gg, value) for gg, value in want.items()}
+            want.setdefault(g // 2, precubic_nonorientable_by_genus_pair(g, g // 2))
+        assert walked_period_two_values(monkeypatch, g) == want
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 57, 1161])
+def test_period_two_keys_start_from_the_closed_form_only_at_two_crosscaps(monkeypatch, g: int) -> None:
+    calls = []
+
+    def counted(cover: int, gg: int) -> int:
+        calls.append((cover, gg))
+        return precubic_nonorientable_by_genus_pair(cover, gg)
+
+    monkeypatch.setattr(census, "precubic_nonorientable_by_genus_pair", counted)
+    list(nonorientable_terms(g))
+    # a period-2 key (gg, g-2gg) is the one key with covering genus 2gg+k = g
+    assert [gg for cover, gg in calls if cover == g] == ([2] if g >= 4 else [])
 
 
 def test_signature_terms_are_the_closed_orbifold_rows() -> None:

@@ -431,6 +431,20 @@ def test_verify_early_stop_keeps_an_existing_report(tmp_path) -> None:
     assert report_path.read_bytes() == b"old report\n"
 
 
+@pytest.mark.parametrize("stdout", ["captured", "stringio"])
+def test_output_error_without_a_stdout_descriptor_exits_two(capsys, monkeypatch, stdout) -> None:
+    # in-process, sys.stdout has no file descriptor to redirect
+    def stopped():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "suite_integrality", stopped)
+    if stdout == "stringio":
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+    code, _, err = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
+    assert code == 2
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_verify_rejects_uncalibratable_limits(capsys) -> None:
     assert _run(capsys, "verify", "--max-edges-full", "2")[0] == 2
 
