@@ -37,9 +37,6 @@ from .orbifolds import (
 from .rooted_counts import (
     SurfaceClass,
     c_coefficient,
-    covering_genus_orientable,
-    precubic_leaves_nonorientable,
-    precubic_leaves_orientable,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -65,15 +62,12 @@ __all__ = [
     "count_rooted",
     "count_sensed_orientable",
     "count_unsensed",
-    "covering_genus_orientable",
     "epsilon_h2_nonorientable",
     "epsilon_h2_orientable",
     "epsilon_hl",
     "h2_orbifold_family",
     "nonorientable_census_row",
     "orientable_census_row",
-    "precubic_leaves_nonorientable",
-    "precubic_leaves_orientable",
     "precubic_nonorientable_by_genus_pair",
     "precubic_nonorientable_by_leaves",
     "precubic_orientable",

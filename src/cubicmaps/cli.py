@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -60,9 +61,6 @@ from .orbifolds import (
 )
 from .rooted_counts import (
     SurfaceClass,
-    covering_genus_orientable,
-    precubic_leaves_nonorientable,
-    precubic_leaves_orientable,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
     rooted_cubic_nonorientable,
@@ -257,7 +255,12 @@ def _first_mismatch(label: str, cases: Iterable[Tuple[str, object, object]], ok:
 
 
 def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
-    """Every formula the oracle can reach within the limits, compared exactly."""
+    """Every formula the oracle can reach within the limits, compared exactly.
+
+    Cubic counts first, then one precubic count per edge count n and surface,
+    orientable surfaces first, with the k >= 0 leaves that the Euler relation
+    n = 2k + 3 - 3 chi gives on a surface of Euler characteristic chi.
+    """
     checks: List[Check] = []
 
     def push(label: str, thunk: Callable[[], int], want: Callable[[], int]) -> None:
@@ -270,8 +273,7 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             return
         checks.append(Check(label, str(got), str(expected), got == expected))
 
-    g = 1
-    while 6 * g - 3 <= max_o:
+    for g in range(1, (max_o + 3) // 6 + 1):
         n, surface = 6 * g - 3, SurfaceClass(True, g)
         push(
             f"cubic orientable genus {g} rooted (n={n})",
@@ -288,9 +290,7 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_o),
             lambda g=g: unsensed_cubic_orientable(g),
         )
-        g += 1
-    g = 2
-    while 3 * g - 3 <= max_f:
+    for g in range(2, (max_f + 3) // 3 + 1):
         n, surface = 3 * g - 3, SurfaceClass(False, g)
         push(
             f"cubic non-orientable genus {g} rooted (n={n})",
@@ -302,29 +302,23 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_f),
             lambda g=g: unsensed_cubic_nonorientable(g),
         )
-        g += 1
-    for e in range(1, max_o + 1, 2):
-        gg = 0
-        while True:
-            k = precubic_leaves_orientable(gg, e)
-            if k is None:
-                break
-            push(
-                f"precubic orientable genus {gg}, {e} edges, {k} leaves",
-                lambda e=e, gg=gg, k=k: count_precubic(e, SurfaceClass(True, gg), k, max_edges=max_o),
-                lambda e=e, gg=gg: precubic_orientable(covering_genus_orientable(gg, e), gg),
-            )
-            gg += 1
-    for e in range(1, max_f + 1):
-        for gg in range(1, (e + 3) // 3 + 1):
-            k = precubic_leaves_nonorientable(gg, e)
-            if k is None:
-                continue
-            push(
-                f"precubic non-orientable genus {gg}, {e} edges, {k} leaves",
-                lambda e=e, gg=gg, k=k: count_precubic(e, SurfaceClass(False, gg), k, max_edges=max_f),
-                lambda gg=gg, k=k: precubic_nonorientable_by_leaves(gg, k),
-            )
+    precubic_forms = (
+        ("orientable", max_o, lambda gg, k: precubic_orientable(k + 4 * gg, gg)),
+        ("non-orientable", max_f, precubic_nonorientable_by_leaves),
+    )
+    for kind, max_edges, form in precubic_forms:
+        for n in range(1, max_edges + 1):
+            for gg in itertools.count(0 if kind == "orientable" else 1):
+                surface = SurfaceClass(kind == "orientable", gg)
+                k, odd = divmod(n - 3 + 3 * surface.euler_characteristic(), 2)
+                if k < 0:
+                    break
+                if not odd:
+                    push(
+                        f"precubic {kind} genus {gg}, {n} edges, {k} leaves",
+                        lambda n=n, s=surface, k=k, m=max_edges: count_precubic(n, s, k, max_edges=m),
+                        lambda form=form, gg=gg, k=k: form(gg, k),
+                    )
     return checks
 
 

@@ -276,6 +276,8 @@ def _histogram(
 
 
 def _check_limit(n: int, full_mode: bool, max_edges: Optional[int]) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1 edges (got {n})")
     limit = max_edges
     if limit is None:
         limit = DEFAULT_MAX_EDGES_FULL if full_mode else DEFAULT_MAX_EDGES_ORIENTABLE
@@ -372,11 +374,11 @@ def count_precubic(
     max_edges: Optional[int] = None,
 ) -> int:
     """Count rooted one-face maps with n edges, `leaves` degree-1 vertices, rest degree 3."""
+    _check_limit(n, not surface.orientable, max_edges)
     if leaves < 0:
         return 0
     cubic_vertices, remainder = divmod(2 * n - leaves, 3)
     if remainder != 0 or cubic_vertices < 0:
         return 0
-    _check_limit(n, not surface.orientable, max_edges)
     histogram = _histogram(n, not surface.orientable, frozenset({1, 3}))
     return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices)]

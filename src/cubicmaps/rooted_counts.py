@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .exactnum import binomial, exact_quotient, factorial
 
@@ -217,31 +217,3 @@ def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> int:
     if gg < 1 or g < 2 * gg:
         return 0
     return _nonorientable_form(gg, g - 2 * gg)
-
-
-# ============================================================
-# Edge / leaf translation
-# ============================================================
-
-
-def _leaves(chi: int, e: int) -> Optional[int]:
-    """The k >= 0 with e = 2k + 3 - 3 chi for an e >= 1 edge map on Euler characteristic chi, or None."""
-    twice_k = e - 3 + 3 * chi
-    if e < 1 or twice_k < 0 or twice_k % 2 != 0:
-        return None
-    return twice_k // 2
-
-
-def precubic_leaves_nonorientable(gg: int, e: int) -> Optional[int]:
-    """Leaf count forced by an edge count on non-orientable genus gg, or None."""
-    return _leaves(2 - gg, e) if gg >= 1 else None
-
-
-def precubic_leaves_orientable(gg: int, e: int) -> Optional[int]:
-    """Leaf count forced by an edge count on orientable genus gg, or None."""
-    return _leaves(2 - 2 * gg, e) if gg >= 0 else None
-
-
-def covering_genus_orientable(gg: int, e: int) -> int:
-    """The covering genus g with precubic_orientable(g, gg) counting e-edge maps."""
-    return (e - 1) // 2 + gg + 2

@@ -353,6 +353,38 @@ def test_verify_defaults_pass(capsys, tmp_path) -> None:
 
     walk(report)
 
+    # the oracle checks in the order they run: cubic counts, then precubic counts by edges,
+    # orientable surfaces first, each with the leaf count the Euler relation gives
+    oracle_suite = next(suite for suite in report["suites"] if suite["name"] == "oracle-equivalence")
+    assert [check["label"] for check in oracle_suite["checks"]] == [
+        "cubic orientable genus 1 rooted (n=3)",
+        "cubic orientable genus 1 sensed (n=3)",
+        "cubic orientable genus 1 unsensed (n=3)",
+        "cubic orientable genus 2 rooted (n=9)",
+        "cubic orientable genus 2 sensed (n=9)",
+        "cubic orientable genus 2 unsensed (n=9)",
+        "cubic non-orientable genus 2 rooted (n=3)",
+        "cubic non-orientable genus 2 unsensed (n=3)",
+        "cubic non-orientable genus 3 rooted (n=6)",
+        "cubic non-orientable genus 3 unsensed (n=6)",
+        "precubic orientable genus 0, 1 edges, 2 leaves",
+        "precubic orientable genus 0, 3 edges, 3 leaves",
+        "precubic orientable genus 1, 3 edges, 0 leaves",
+        "precubic orientable genus 0, 5 edges, 4 leaves",
+        "precubic orientable genus 1, 5 edges, 1 leaves",
+        "precubic orientable genus 0, 7 edges, 5 leaves",
+        "precubic orientable genus 1, 7 edges, 2 leaves",
+        "precubic orientable genus 0, 9 edges, 6 leaves",
+        "precubic orientable genus 1, 9 edges, 3 leaves",
+        "precubic orientable genus 2, 9 edges, 0 leaves",
+        "precubic non-orientable genus 1, 2 edges, 1 leaves",
+        "precubic non-orientable genus 2, 3 edges, 0 leaves",
+        "precubic non-orientable genus 1, 4 edges, 2 leaves",
+        "precubic non-orientable genus 2, 5 edges, 1 leaves",
+        "precubic non-orientable genus 1, 6 edges, 3 leaves",
+        "precubic non-orientable genus 3, 6 edges, 0 leaves",
+    ]
+
 
 def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> None:
     printed_before_integrality = []

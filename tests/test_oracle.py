@@ -218,6 +218,23 @@ def test_limit_message_names_the_limit() -> None:
         count_rooted(10, SurfaceClass(True, 1))
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda n: count_rooted(n, SurfaceClass(True, 0)),
+        lambda n: count_sensed_orientable(n, 0),
+        lambda n: count_unsensed(n, SurfaceClass(False, 1)),
+        lambda n: count_precubic(n, SurfaceClass(True, 0), 0),
+    ],
+    ids=["count_rooted", "count_sensed_orientable", "count_unsensed", "count_precubic"],
+)
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_counts_reject_fewer_than_one_edge(count, n: int) -> None:
+    # the empty polygon is no map: without the check it counts 1, divides by zero or names a negative genus
+    with pytest.raises(ValueError, match="n >= 1"):
+        count(n)
+
+
 def test_sensed_counts_sandwiched() -> None:
     from fractions import Fraction
 

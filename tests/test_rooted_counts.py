@@ -10,9 +10,6 @@ from cubicmaps.golden import CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.rooted_counts import (
     SurfaceClass,
     c_coefficient,
-    covering_genus_orientable,
-    precubic_leaves_nonorientable,
-    precubic_leaves_orientable,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -110,44 +107,16 @@ def test_precubic_parameterizations_agree() -> None:
     # the same maps when both are defined with at least one edge
     for gg in range(1, 8):
         for g in range(gg, 26):
-            edges = 2 * g - gg - 3
-            if edges < 1:
-                continue
-            k = precubic_leaves_nonorientable(gg, edges)
-            if k is None:
+            k = g - 2 * gg
+            if k < 0 or 2 * g - gg - 3 < 1:
                 continue
             assert precubic_nonorientable_by_genus_pair(g, gg) == precubic_nonorientable_by_leaves(gg, k), (g, gg, k)
 
 
-def test_precubic_edge_and_leaf_translations_roundtrip() -> None:
-    for gg in range(1, 8):
-        for k in range(0, 10):
-            edges = 2 * k + 3 * gg - 3
-            if edges < 1:
-                continue
-            assert precubic_leaves_nonorientable(gg, edges) == k
-    # parity mismatches have no leaf count
-    assert precubic_leaves_nonorientable(1, 3) is None
-    assert precubic_leaves_nonorientable(2, 4) is None
-
-
-def test_precubic_orientable_leaf_translation() -> None:
-    assert precubic_leaves_orientable(0, 1) == 2
-    assert precubic_leaves_orientable(0, 5) == 4
-    assert precubic_leaves_orientable(1, 5) == 1
-    assert precubic_leaves_orientable(2, 9) == 0
-    assert precubic_leaves_orientable(0, 2) is None
-    assert precubic_leaves_orientable(2, 5) is None
-
-
-def test_covering_genus_orientable_consistency() -> None:
-    # the covering-genus parameter recovers the defining identity
-    # g = (e-1)/2 + gg + 2 and feeds the closed form a nonzero value
+def test_precubic_orientable_positive_in_range() -> None:
+    # every surface genus gg and leaf count k of a map with 2(k + 3gg - 2) + 1 >= 1
+    # edges, read through the covering genus k + 4gg
     for gg in range(0, 4):
-        for e in range(1, 12, 2):
-            k = precubic_leaves_orientable(gg, e)
-            if k is None:
-                continue
-            g = covering_genus_orientable(gg, e)
-            assert g == (e - 1) // 2 + gg + 2
-            assert precubic_orientable(g, gg) > 0
+        for k in range(0, 6):
+            if k + 3 * gg >= 2:
+                assert precubic_orientable(k + 4 * gg, gg) > 0, (gg, k)
