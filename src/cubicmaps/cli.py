@@ -7,10 +7,15 @@ self-verification suites (formula vs. oracle vs. frozen data).
 
 The suites are the public `suite_*` functions below, each returning a list
 of `Check` records; `verify`, the acceptance tests and the oracle demo all
-call them, and each fact is checked by exactly one suite; `verify` prints
-each suite's line as soon as that suite returns. `count`, `table` and
-`orbifolds` accept genera up to MAX_GENUS, and `verify` edge limits up to
-MAX_EDGES_ORIENTABLE and MAX_EDGES_FULL.
+call them, and each fact is checked by exactly one suite. Every check is one
+guarded comparison, so a computation that raises an arithmetic or value
+error fails its check instead of ending the run. `verify` prints each
+suite's line as soon as that suite returns. With `--report` it first opens
+the file for appending and writes nothing, so an unwritable path fails
+before any suite runs, and it writes the whole report once, after the last
+suite; an existing report is left as it was until then. `count`, `table`
+and `orbifolds` accept genera up to MAX_GENUS, and `verify` edge limits up
+to MAX_EDGES_ORIENTABLE and MAX_EDGES_FULL.
 
 Output is deterministic. JSON serializes every number as a decimal string
 so arbitrarily large counts round-trip; CSV uses no quoting and ends with a
@@ -29,7 +34,8 @@ import json
 import os
 import sys
 import textwrap
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .census import (
@@ -69,7 +75,7 @@ from .rooted_counts import (
 
 _CUBIC_DEGREES = frozenset({3})
 
-# The non-orientable unsensed count takes about 1.8 s at genus 2000 on a 2-vCPU host.
+# The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
 # takes about 2.5 min at --max-edges-full 10 and 6 min at --max-edges-orientable 13.
@@ -237,21 +243,40 @@ class Check:
     passed: bool
 
 
+def _check(label: str, got: Callable[[], object], want: Callable[[], object]) -> Check:
+    """Compare got() with want(), the one guard of every suite.
+
+    `want` runs first, so a check whose computation fails still shows what it
+    should have equalled. An ArithmeticError or ValueError from either fails
+    the check with its message in place of a traceback.
+    """
+    expected: object = "a value"
+    try:
+        expected = want()
+        value = got()
+    except (ArithmeticError, ValueError) as exc:
+        return Check(label, f"error: {exc}", str(expected), False)
+    return Check(label, str(value), str(expected), value == expected)
+
+
 def _first_mismatch(label: str, cases: Iterable[Tuple[str, object, object]], ok: str = "equal") -> Check:
     """One check over many (description, got, want) comparisons, naming the first that differs.
 
-    `cases` is read inside the guard, so a case that raises ArithmeticError or
-    ValueError fails the check. A `{}` in `label` is filled with the number of
-    comparisons made.
+    `cases` is read inside the guard of `_check`, so it must build each case
+    lazily. A `{}` in `label` is filled with the number of comparisons made.
     """
     made = 0
-    try:
+
+    def first() -> str:
+        nonlocal made
         for made, (description, got, want) in enumerate(cases, 1):
             if got != want:
-                return Check(label.format(made), f"{description}: {got} != {want}", ok, False)
-    except (ArithmeticError, ValueError) as exc:
-        return Check(label.format(made), f"error: {exc}", ok, False)
-    return Check(label.format(made), ok, ok, True)
+                return f"{description}: {got} != {want}"
+        return ok
+
+    check = _check(label, first, partial(str, ok))
+    check.label = label.format(made)
+    return check
 
 
 def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
@@ -261,47 +286,22 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
     orientable surfaces first, with the k >= 0 leaves that the Euler relation
     n = 2k + 3 - 3 chi gives on a surface of Euler characteristic chi.
     """
-    checks: List[Check] = []
-
-    def push(label: str, thunk: Callable[[], int], want: Callable[[], int]) -> None:
-        expected: object = "a value"
-        try:
-            expected = want()
-            got = thunk()
-        except (ArithmeticError, ValueError) as exc:
-            checks.append(Check(label, f"error: {exc}", str(expected), False))
-            return
-        checks.append(Check(label, str(got), str(expected), got == expected))
-
+    cases: List[Tuple[str, Callable[[], int], Callable[[], int]]] = []
     for g in range(1, (max_o + 3) // 6 + 1):
-        n, surface = 6 * g - 3, SurfaceClass(True, g)
-        push(
-            f"cubic orientable genus {g} rooted (n={n})",
-            lambda n=n, s=surface: count_rooted(n, s, _CUBIC_DEGREES, max_edges=max_o),
-            lambda g=g: rooted_cubic_orientable(g),
-        )
-        push(
-            f"cubic orientable genus {g} sensed (n={n})",
-            lambda n=n, g=g: count_sensed_orientable(n, g, _CUBIC_DEGREES, max_edges=max_o),
-            lambda g=g: sensed_cubic_orientable(g),
-        )
-        push(
-            f"cubic orientable genus {g} unsensed (n={n})",
-            lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_o),
-            lambda g=g: unsensed_cubic_orientable(g),
-        )
+        n, s, cubic = 6 * g - 3, SurfaceClass(True, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_o}
+        for count, search, form in (
+            ("rooted", partial(count_rooted, n, s, **cubic), rooted_cubic_orientable),
+            ("sensed", partial(count_sensed_orientable, n, g, **cubic), sensed_cubic_orientable),
+            ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_orientable),
+        ):
+            cases.append((f"cubic orientable genus {g} {count} (n={n})", search, partial(form, g)))
     for g in range(2, (max_f + 3) // 3 + 1):
-        n, surface = 3 * g - 3, SurfaceClass(False, g)
-        push(
-            f"cubic non-orientable genus {g} rooted (n={n})",
-            lambda n=n, s=surface: count_rooted(n, s, _CUBIC_DEGREES, max_edges=max_f),
-            lambda g=g: rooted_cubic_nonorientable(g),
-        )
-        push(
-            f"cubic non-orientable genus {g} unsensed (n={n})",
-            lambda n=n, s=surface: count_unsensed(n, s, _CUBIC_DEGREES, max_edges=max_f),
-            lambda g=g: unsensed_cubic_nonorientable(g),
-        )
+        n, s, cubic = 3 * g - 3, SurfaceClass(False, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_f}
+        for count, search, form in (
+            ("rooted", partial(count_rooted, n, s, **cubic), rooted_cubic_nonorientable),
+            ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_nonorientable),
+        ):
+            cases.append((f"cubic non-orientable genus {g} {count} (n={n})", search, partial(form, g)))
     precubic_forms = (
         ("orientable", max_o, lambda gg, k: precubic_orientable(k + 4 * gg, gg)),
         ("non-orientable", max_f, precubic_nonorientable_by_leaves),
@@ -314,27 +314,24 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
                 if k < 0:
                     break
                 if not odd:
-                    push(
-                        f"precubic {kind} genus {gg}, {n} edges, {k} leaves",
-                        lambda n=n, s=surface, k=k, m=max_edges: count_precubic(n, s, k, max_edges=m),
-                        lambda form=form, gg=gg, k=k: form(gg, k),
-                    )
-    return checks
+                    search = partial(count_precubic, n, surface, k, max_edges=max_edges)
+                    cases.append((f"precubic {kind} genus {gg}, {n} edges, {k} leaves", search, partial(form, gg, k)))
+    return [_check(*case) for case in cases]
 
 
 def suite_integrality() -> List[Check]:
     """Every census row through INTEGRALITY_GENUS_MAX is exact and within the bounds CensusRow enforces."""
-    label = f"census integrality through genus {INTEGRALITY_GENUS_MAX}"
     want = "every count an exact integer"
-    try:
+
+    def every_row() -> str:
+        # a non-integral count raises ArithmeticError, a row outside its sandwich bounds ValueError
         for g in range(1, INTEGRALITY_GENUS_MAX + 1):
             orientable_census_row(g)
         for g in range(2, INTEGRALITY_GENUS_MAX + 1):
             nonorientable_census_row(g)
-    except (ArithmeticError, ValueError) as exc:
-        # ArithmeticError: a non-integral count; ValueError: a row outside its sandwich bounds
-        return [Check(label, f"error: {exc}", want, False)]
-    return [Check(label, want, want, True)]
+        return want
+
+    return [_check(f"census integrality through genus {INTEGRALITY_GENUS_MAX}", every_row, partial(str, want))]
 
 
 def suite_specialization() -> List[Check]:
@@ -406,12 +403,11 @@ def suite_tables() -> List[Check]:
         _first_mismatch(
             "closed signatures with nonzero epsilon, genus 2..8",
             (
-                (
-                    "rows (g, l, genus, ns, nv, epsilon)",
-                    [(g, *s) for g in range(2, 9) for s in solve_closed_orbifolds(g) if s.contributes],
+                ("row (g, l, genus, ns, nv, epsilon)", row, frozen)
+                for row, frozen in itertools.zip_longest(
+                    ((g, *s) for g in range(2, 9) for s in solve_closed_orbifolds(g) if s.contributes),
                     sorted(CLOSED_ORBIFOLD_ROWS),
                 )
-                for _ in range(1)  # one comparison, built lazily inside the guard
             ),
             "all 24 rows reproduced",
         ),
@@ -434,50 +430,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("table-reproduction", suite_tables),
     )
 
-    # Opened before any suite runs, so an unwritable path fails at once, but
-    # for appending: an existing report is emptied only once the new one is
-    # ready, so an early stop leaves it as it was.
-    try:
-        report_file = open(args.report, "a", encoding="utf-8") if args.report else None
-    except OSError as exc:
-        return _usage_error(f"cannot write report: {exc}")
-    with report_file or contextlib.nullcontext():
-        suites: List[Tuple[str, List[Check]]] = []
-        first_failure: Optional[Check] = None
-        for name, run in runs:
-            checks = run()
-            suites.append((name, checks))
-            ok = all(c.passed for c in checks)
-            unit = "check" if len(checks) == 1 else "checks"
-            print(f"{name}: {'PASS' if ok else 'FAIL'} ({len(checks)} {unit})", flush=True)
-            if not ok and first_failure is None:
-                first_failure = next(c for c in checks if not c.passed)
+    if args.report:
+        # a probe that writes nothing: an unwritable path fails before any suite runs
+        try:
+            open(args.report, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _usage_error(f"cannot write report: {exc}")
 
-        if report_file is not None:
-            report = {
-                "max_edges_orientable": str(max_o),
-                "max_edges_full": str(max_f),
-                "all_pass": first_failure is None,
-                "suites": [
-                    {
-                        "name": name,
-                        "status": "PASS" if all(c.passed for c in checks) else "FAIL",
-                        "checks": [
-                            {"label": c.label, "got": c.got, "want": c.want, "passed": c.passed}
-                            for c in checks
-                        ],
-                    }
-                    for name, checks in suites
-                ],
-            }
-            try:
-                if report_file.seekable():
-                    report_file.truncate(0)
-                json.dump(report, report_file, indent=2)
-                report_file.write("\n")
-                report_file.flush()
-            except OSError as exc:
-                return _usage_error(f"cannot write report: {exc}")
+    suites: List[dict] = []
+    first_failure: Optional[Check] = None
+    for name, run in runs:
+        checks = run()
+        status = "PASS" if all(c.passed for c in checks) else "FAIL"
+        suites.append({"name": name, "status": status, "checks": [asdict(c) for c in checks]})
+        print(f"{name}: {status} ({len(checks)} {'check' if len(checks) == 1 else 'checks'})", flush=True)
+        if first_failure is None:
+            first_failure = next((c for c in checks if not c.passed), None)
+
+    if args.report:
+        report = {
+            "max_edges_orientable": str(max_o),
+            "max_edges_full": str(max_f),
+            "all_pass": first_failure is None,
+            "suites": suites,
+        }
+        try:
+            with open(args.report, "w", encoding="utf-8") as out:
+                out.write(json.dumps(report, indent=2) + "\n")
+        except OSError as exc:
+            return _usage_error(f"cannot write report: {exc}")
 
     if first_failure is not None:
         print(f"FIRST FAILURE: {first_failure.label}: got {first_failure.got}, want {first_failure.want}")

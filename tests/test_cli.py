@@ -384,6 +384,35 @@ def test_verify_defaults_pass(capsys, tmp_path) -> None:
         "precubic non-orientable genus 1, 6 edges, 3 leaves",
         "precubic non-orientable genus 3, 6 edges, 0 leaves",
     ]
+    values = {check["label"]: (check["got"], check["want"]) for check in oracle_suite["checks"]}
+    assert values["cubic orientable genus 1 rooted (n=3)"] == ("1", "1")
+    assert values["cubic orientable genus 2 unsensed (n=9)"] == ("8", "8")
+    assert values["cubic non-orientable genus 3 rooted (n=6)"] == ("128", "128")
+    assert values["precubic orientable genus 1, 9 edges, 3 leaves"] == ("420", "420")
+    assert values["precubic non-orientable genus 2, 5 edges, 1 leaves"] == ("60", "60")
+
+    # every census check, label, got and want, as the report carries it
+    census_checks = {
+        suite["name"]: [(check["label"], check["got"], check["want"]) for check in suite["checks"]]
+        for suite in report["suites"]
+        if suite["name"] != "oracle-equivalence"
+    }
+    equal = "equal"
+    assert census_checks == {
+        "integrality": [
+            ("census integrality through genus 200", "every count an exact integer", "every count an exact integer"),
+        ],
+        "specialization": [
+            ("closed signatures: epi - epi_plus = epsilon (98 signatures, genus <= 12)", equal, equal),
+            ("orientable boundary quotients: epi - epi_plus = epsilon (genus, branch <= 12)", equal, equal),
+            ("non-orientable boundary quotients: epi - epi_plus = epsilon (genus, branch <= 12)", equal, equal),
+        ],
+        "table-reproduction": [
+            ("orientable census values, genus 1..10", "all 30 values reproduced", "all 30 values reproduced"),
+            ("non-orientable census values, genus 2..20", "all 38 values reproduced", "all 38 values reproduced"),
+            ("closed signatures with nonzero epsilon, genus 2..8", "all 24 rows reproduced", "all 24 rows reproduced"),
+        ],
+    }
 
 
 def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> None:
@@ -405,11 +434,27 @@ def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> 
 
 
 def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
-    monkeypatch.setitem(golden.CUBIC_ORIENTABLE, 5, (1, 1, 1))
-    code, out, _ = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
-    assert code == 1
-    assert "table-reproduction: FAIL" in out
-    assert "FIRST FAILURE:" in out.splitlines()[-1]
+    rows = list(golden.CLOSED_ORBIFOLD_ROWS)
+    rows[1] = (3, 3, 1, 0, 1, 5)
+    extra = [*golden.CLOSED_ORBIFOLD_ROWS, (9, 2, 1, 1, 0, 2)]
+    row = "closed signatures with nonzero epsilon, genus 2..8: got row (g, l, genus, ns, nv, epsilon): "
+    corrupted = (
+        (
+            "CUBIC_ORIENTABLE",
+            {**golden.CUBIC_ORIENTABLE, 5: (1, 1, 1)},
+            "orientable census values, genus 1..10: got orientable genus 5: ",
+        ),
+        ("CLOSED_ORBIFOLD_ROWS", rows, f"{row}(3, 3, 1, 0, 1, 4) != (3, 3, 1, 0, 1, 5), want all 24 rows reproduced"),
+        # a frozen row that nothing computes is a mismatch too
+        ("CLOSED_ORBIFOLD_ROWS", extra, f"{row}None != (9, 2, 1, 1, 0, 2), want all 24 rows reproduced"),
+    )
+    for name, table, first_failure in corrupted:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, table)
+            code, out, _ = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
+        assert code == 1
+        assert "table-reproduction: FAIL" in out
+        assert out.splitlines()[-1].startswith(f"FIRST FAILURE: {first_failure}")
 
 
 @pytest.mark.parametrize(
@@ -419,6 +464,8 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
         ("count_sensed_orientable", "oracle-equivalence"),
         ("epsilon_h2_orientable", "specialization"),
         ("unsensed_cubic_nonorientable", "table-reproduction"),
+        ("solve_closed_orbifolds", "specialization"),
+        ("precubic_nonorientable_by_leaves", "oracle-equivalence"),
     ],
 )
 def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suite) -> None:
@@ -432,6 +479,16 @@ def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suit
     last = out.splitlines()[-1]
     assert last.startswith("FIRST FAILURE:")
     assert "expected unsensed <= rooted" in last
+    # what the failing check must equal is computed first, so a raising oracle search still shows it
+    wants = {
+        "orientable_census_row": "every count an exact integer",
+        "count_sensed_orientable": "1",
+        "epsilon_h2_orientable": "equal",
+        "unsensed_cubic_nonorientable": "a value",  # the oracle suite's formula fails first
+        "solve_closed_orbifolds": "equal",
+        "precubic_nonorientable_by_leaves": "a value",
+    }
+    assert last.endswith(f", want {wants[name]}")
 
 
 def test_verify_unwritable_report_fails_before_any_suite(capsys, monkeypatch, tmp_path) -> None:
@@ -443,6 +500,20 @@ def test_verify_unwritable_report_fails_before_any_suite(capsys, monkeypatch, tm
     code, out, err = _run(capsys, "verify", "--report", str(tmp_path / "missing" / "report.json"))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write report: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_verify_full_report_device_fails_after_every_suite(capsys) -> None:
+    argv = ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3", "--report", "/dev/full")
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines() == [
+        "oracle-equivalence: PASS (10 checks)",
+        "integrality: PASS (1 check)",
+        "specialization: PASS (3 checks)",
+        "table-reproduction: PASS (3 checks)",
+    ]
+    assert err == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
 def test_verify_early_stop_keeps_an_existing_report(tmp_path) -> None:
