@@ -11,9 +11,10 @@ call them, and each fact is checked by exactly one suite. Every check is one
 guarded comparison, so a computation that raises an arithmetic or value
 error fails its check instead of ending the run. `verify` prints each
 suite's line as soon as that suite returns. With `--report` it first opens
-the file for appending and writes nothing, so an unwritable path fails
-before any suite runs, and it writes the whole report once, after the last
-suite; an existing report is left as it was until then. `count`, `table`
+the file for appending and writes nothing, removing it again if the probe
+created it, so an unwritable path fails before any suite runs. It writes
+the whole report once, after the last suite; until then an existing report
+is left as it was and a missing one stays missing. `count`, `table`
 and `orbifolds` accept genera up to MAX_GENUS, and `verify` edge limits up
 to MAX_EDGES_ORIENTABLE and MAX_EDGES_FULL.
 
@@ -78,7 +79,7 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 2.5 min at --max-edges-full 10 and 6 min at --max-edges-orientable 13.
+# takes about 1.7 min at --max-edges-full 10 and 5 min at --max-edges-orientable 13.
 MAX_EDGES_FULL = 10
 MAX_EDGES_ORIENTABLE = 13
 # The ranges of the census suites of `verify`.
@@ -431,9 +432,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
     if args.report:
-        # a probe that writes nothing: an unwritable path fails before any suite runs
+        # a probe that writes nothing: an unwritable path fails before any suite runs,
+        # and a run that stops early leaves no empty report behind
+        created = not os.path.exists(args.report)
         try:
             open(args.report, "a", encoding="utf-8").close()
+            if created:
+                os.remove(args.report)
         except OSError as exc:
             return _usage_error(f"cannot write report: {exc}")
 

@@ -122,13 +122,8 @@ def prime_factorization(n: int) -> List[Tuple[int, int]]:
 
 
 def euler_phi(n: int) -> int:
-    """Return the Euler totient of n >= 1."""
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1 (got {n})")
-    out = 1
-    for p, a in prime_factorization(n):
-        out *= p ** a - p ** (a - 1)
-    return out
+    """Return the Euler totient of n >= 1: the Jordan totient J_1(n)."""
+    return jordan_totient_or_zero(1, n, 1)
 
 
 def jordan_totient_or_zero(k: int, num: int, den: int) -> int:

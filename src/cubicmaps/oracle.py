@@ -33,11 +33,13 @@ the first placed pair. Every corner flanks two sides, and each glued side
 links one corner at each of its ends, so a partial corner class is a path
 of corners until a link joins its two ends and closes it into a cycle: a
 finished vertex whose degree is the cycle length. Links only join path
-ends, so a path is known by its ends alone, and one undo trail takes the
-partial gluing back to any mark. Branches die early when a cycle closes
-with a size outside the degree set or a path outgrows the largest degree
-in it. Counts fixed by a symmetry reuse the same search, forcing the whole
-symmetry orbit of every placed pair at once.
+ends, so a path is known by its ends alone. Each search node copies the
+side partners, path ends and path sizes once, with the number of closed
+cycles, and restores that copy in place after every branch; twist bits
+need no copy, since a twist is read only on a glued side. Branches die
+early when a cycle closes with a size outside the degree set or a path
+outgrows the largest degree in it. Counts fixed by a symmetry reuse the
+same search, forcing the whole symmetry orbit of every placed pair at once.
 
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
@@ -111,12 +113,14 @@ InvariantHistogram = Counter[MapInvariants]
 
 
 class _PartialGluing:
-    """Side partners, twist bits and corner classes of a partial gluing, with one undo trail.
+    """Side partners, twist bits and corner classes of a partial gluing.
 
     A corner path is stored at its ends: end[c] is the other end, size[c] the
     corner count. `degrees` lists the sizes of the closed cycles. twist[s]
-    is meaningful once side s is glued. A gluing fails when a cycle closes
-    with a size outside `allowed` (any size if None) or a path outgrows it.
+    is meaningful once side s is glued and only read then, so a search
+    backtracks by restoring partner, end, size and the length of degrees,
+    never twist. A gluing fails when a cycle closes with a size outside
+    `allowed` (any size if None) or a path outgrows it.
     """
 
     def __init__(self, n: int, allowed: Optional[AbstractSet[int]] = None):
@@ -128,52 +132,35 @@ class _PartialGluing:
         self.end = list(range(2 * n))
         self.size = [1] * (2 * n)
         self.degrees: List[int] = []
-        # a glued side, a merge (x, u, size u, y, v, size v) of paths x..u and v..y, or None for a closed cycle
-        self.trail: List[object] = []
 
     def glue(self, a: int, b: int, twist: bool) -> bool:
         """Glue sides a and b; False if either is glued otherwise or a corner class leaves the degree set.
 
         A pair already glued the same way is accepted as it is. On False the
-        gluing may be half done: undo to the mark taken before.
+        gluing may be half done: restore a copy of partner, end, size and
+        the length of degrees taken before.
         """
-        partner, end, size, trail = self.partner, self.end, self.size, self.trail
+        partner, end, size = self.partner, self.end, self.size
         if partner[a] != -1 or partner[b] != -1:
             return partner[a] == b and self.twist[a] == twist
         partner[a], partner[b] = b, a
         self.twist[a] = self.twist[b] = twist
-        trail.append(a)
         # the corner links of the Model above: a+1 ~ b and a ~ b+1 untwisted, a+1 ~ b+1 and a ~ b twisted
         a1, b1 = (a + 1) % len(partner), (b + 1) % len(partner)
         for (u, v) in ((a1, b1), (a, b)) if twist else ((a1, b), (a, b1)):
             if end[u] == v:
                 s = size[u]
                 self.degrees.append(s)
-                trail.append(None)
                 if s not in self.allowed:
                     return False
             else:
                 x, y = end[u], end[v]
-                trail.append((x, u, size[u], y, v, size[v]))
                 s = size[u] + size[v]
                 end[x], end[y] = y, x
                 size[x] = size[y] = s
                 if s > self.max_degree:
                     return False
         return True
-
-    def undo(self, mark: int) -> None:
-        """Undo every change made since the trail had length `mark`."""
-        partner, end, size, trail = self.partner, self.end, self.size, self.trail
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry is None:
-                self.degrees.pop()
-            elif isinstance(entry, tuple):
-                x, u, su, y, v, sv = entry
-                end[x], size[x], end[y], size[y] = u, su, v, sv
-            else:
-                partner[partner[entry]] = partner[entry] = -1
 
     def invariants(self) -> MapInvariants:
         """The invariants of the complete gluing: its cycles are the vertices, v - n + 1 = chi pins the genus."""
@@ -210,7 +197,7 @@ def _count_search(
     """
     two_n = 2 * n
     state = _PartialGluing(n, degrees)
-    partner = state.partner
+    partner, end, size, cycles = state.partner, state.end, state.size, state.degrees
     twist_options = (False, True) if allow_twists else (False,)
 
     def place_orbit(i: int, j: int, twist: bool) -> bool:
@@ -234,14 +221,15 @@ def _count_search(
             histogram[state.invariants()] += 1
             return
         first = partner.index(-1)
+        saved_partner, saved_end, saved_size, closed = partner[:], end[:], size[:], len(cycles)
         for j in range(first + 1, two_n):
             if partner[j] != -1:
                 continue
             for twist in twist_options:
-                mark = len(state.trail)
                 if place_orbit(first, j, twist):
                     search()
-                state.undo(mark)
+                partner[:], end[:], size[:] = saved_partner, saved_end, saved_size
+                del cycles[closed:]
 
     search()
     return histogram

@@ -516,7 +516,8 @@ def test_verify_full_report_device_fails_after_every_suite(capsys) -> None:
     assert err == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
-def test_verify_early_stop_keeps_an_existing_report(tmp_path) -> None:
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+def test_verify_early_stop_keeps_an_existing_report(tmp_path, existing) -> None:
     # a subprocess, because an OSError sends main() to redirect the real stdout
     script = (
         "import sys, cubicmaps.cli as cli\n"
@@ -526,12 +527,16 @@ def test_verify_early_stop_keeps_an_existing_report(tmp_path) -> None:
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     report_path = tmp_path / "report.json"
-    report_path.write_bytes(b"old report\n")
+    if existing:
+        report_path.write_bytes(b"old report\n")
     argv = ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3", "--report", str(report_path))
     result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, check=False)
     assert result.returncode == 2
     assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
-    assert report_path.read_bytes() == b"old report\n"
+    if existing:
+        assert report_path.read_bytes() == b"old report\n"
+    else:
+        assert not report_path.exists()
 
 
 @pytest.mark.parametrize("stdout", ["captured", "stringio"])

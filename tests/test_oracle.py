@@ -134,7 +134,7 @@ def _is_fixed(gluing: PolygonGluing, symmetry) -> bool:
     return {(frozenset(symmetry[s] for s in pair), twist) for pair, twist in glued} == glued
 
 
-@pytest.mark.parametrize("degrees", [None, frozenset({1, 3})])
+@pytest.mark.parametrize("degrees", [None, frozenset({1, 3}), frozenset({3})])
 def test_fixed_searches_match_brute_force(degrees) -> None:
     for n in range(1, 5):
         two_n = 2 * n
