@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .exactnum import (
     binomial,
@@ -40,11 +40,9 @@ from .orbifolds import (
     solve_closed_orbifolds,
 )
 from .rooted_counts import (
-    _nonorientable_gg_step,
-    _nonorientable_leaf_step,
-    _orientable_gg_step,
+    _nonorientable_walk,
+    _orientable_period_two,
     precubic_nonorientable_by_genus_pair,
-    precubic_orientable,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
@@ -229,17 +227,12 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
                                  is over the denominator 2(6g-6 + l*n_s).
     Each term is exact but rational; only the whole sum is an integer.
 
-    Orientable period-2 quotients (gg, k = g-4gg) form one chain in gg.
-    Every non-orientable quotient count, period-2 (gg, g-2gg) or closed
-    signature (gg, n_s+n_v), is a key (gg, k), and the keys are walked in
-    (gg, k) order. The period-2 keys come from two chains in h, one per
-    parity of gg, each stepped two crosscaps at a time by an exact ratio:
-    odd gg = 2h+1 from 4^{g-2} at gg = 1, even gg = 2h from the closed form
-    at gg = 2. The walk holds the last count it read as the live count. A
-    signature key equal to it reuses it, one leaf past it is one exact
-    small-ratio step from it, and any other signature key starts a new chain
-    with one public precubic count: only signature keys start chains from
-    the closed form. Each term is yielded as soon as its count is known.
+    Every quotient count comes from a chain of exact small-ratio steps in
+    rooted_counts: the orientable period-2 quotients (gg, k = g-4gg) from
+    _orientable_period_two, and every non-orientable quotient count,
+    period-2 (gg, g-2gg) or closed signature (gg, n_s+n_v), from
+    _nonorientable_walk over those keys in (gg, k) order. Each term is
+    yielded as soon as its count is known.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
@@ -248,38 +241,17 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
+    family = h2_orbifold_family(g)
+    for orb, quotients in zip([orb for orb in family if orb.orientable], _orientable_period_two(g)):
+        gg, r = orb.genus, orb.branch_points
+        yield ("h2", True, gg, r), epsilon_h2_orientable(gg, r) * quotients, 2
     # (gg, k, 0, period-2 class) or (gg, k, 1, signature): the 0 sorts period 2
     # first within a key, and the signature records themselves then sort in
     # (l, n_s) order. Each term is built only when the walk reaches it.
-    walk: List[Tuple[int, int, int, tuple]] = []
-    quotients = 0
-    for orb in h2_orbifold_family(g):
-        if orb.orientable:
-            key = ("h2", True, orb.genus, orb.branch_points)
-            quotients = precubic_orientable(g, 0) if orb.genus == 0 else _orientable_gg_step(g, orb.genus, quotients)
-            yield key, epsilon_h2_orientable(orb.genus, orb.branch_points) * quotients, 2
-        else:
-            walk.append((orb.genus, orb.branch_points, 0, orb))
+    walk = [(orb.genus, orb.branch_points, 0, orb) for orb in family if not orb.orientable]
     walk += ((s.genus, s.n_s + s.n_v, 1, s) for s in solve_closed_orbifolds(g) if s.epsilon)
     walk.sort()
-    # chains[gg % 2]: the count at the last period-2 key of that parity and its N_h
-    chains = [(0, 0), (0, 0)]
-    live_gg, live_k, value = 0, 0, 0
-    for gg, k, signature, record in walk:
-        if not signature:
-            if gg == 1:
-                chains[1] = 4 ** (g - 2), 0
-            elif gg == 2:
-                chains[0] = precubic_nonorientable_by_genus_pair(g, 2), 1
-            else:
-                chains[gg % 2] = _nonorientable_gg_step(g, gg, *chains[gg % 2])
-            value = chains[gg % 2][0]
-        elif (gg, k) != (live_gg, live_k):
-            if gg == live_gg and k == live_k + 1:
-                value = _nonorientable_leaf_step(gg, live_k, value)
-            else:
-                value = precubic_nonorientable_by_genus_pair(2 * gg + k, gg)
-        live_gg, live_k = gg, k
+    for (gg, k, signature, record), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
         if signature:
             l, _, n_s, n_v, eps = record
             yield ("hl", l, gg, n_s, n_v), eps * binomial(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)

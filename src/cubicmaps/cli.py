@@ -103,9 +103,10 @@ def _full_int_str() -> Iterator[None]:
     """Lift the int-to-str digit limit (4300 digits by default) for the duration.
 
     Counts pass that limit at orientable genus 626 and non-orientable genus
-    1161. The limit guards parsers against untrusted digit strings; here it
-    is only lifted while the CLI renders counts it computed itself. Python
-    versions without the limit (before 3.10.7) need no lifting.
+    1161. The limit guards parsers against untrusted digit strings; main
+    lifts it only while a command runs, after its arguments are parsed, so
+    it renders only integers the command computed itself. Python versions
+    without the limit (before 3.10.7) need no lifting.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -168,8 +169,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if g < 2:
             return _usage_error("non-orientable counts require --genus >= 2")
         value = rooted_cubic_nonorientable(g) if args.kind == "rooted" else unsensed_cubic_nonorientable(g)
-    with _full_int_str():
-        print(value)
+    print(value)
     return 0
 
 
@@ -188,9 +188,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     def rows() -> Iterator[Tuple[str, ...]]:
         for g in range(args.gmin, args.gmax + 1):
             row = census_row(g)
-            with _full_int_str():
-                cells = tuple(str(v) for v in (g, row.rooted, row.sensed, row.unsensed) if v is not None)
-            yield cells
+            yield tuple(str(v) for v in (g, row.rooted, row.sensed, row.unsensed) if v is not None)
 
     for piece in _render(args.format, headers, rows()):
         sys.stdout.write(piece)
@@ -518,8 +516,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.handler(args)
-        sys.stdout.flush()
+        with _full_int_str():
+            code = args.handler(args)
+            sys.stdout.flush()
     except OSError as exc:
         # stdout is closed or full: what is still buffered, and the
         # interpreter's flush at exit, go to the null device instead. A

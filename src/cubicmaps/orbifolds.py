@@ -220,12 +220,6 @@ def epi_plus_nonorientable_boundary(gg: int, h: int, branch_indices: Sequence[in
     return _epi_plus_boundary(gg + h - 1, h, branch_indices, group_order)
 
 
-def _reduced_half_reciprocal_denominator(branch_indices: Sequence[int]) -> int:
-    # b in the 2^q k form: the denominator of sum 1/(2 m_i) after reduction
-    total = sum(Fraction(1, 2 * m) for m in branch_indices)
-    return total.denominator
-
-
 def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> int:
     """Order-preserving epimorphisms onto Z_l for a closed non-orientable orbifold.
 
@@ -242,7 +236,7 @@ def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> 
     m = lcm_list(branch_indices)
     if l % 2 != 0:
         return _epi_term(k, l, m, branch_indices)
-    b = _reduced_half_reciprocal_denominator(branch_indices)
+    b = sum(Fraction(1, 2 * index) for index in branch_indices).denominator
     doubled = 2 * _epi_term(k, l, lcm_list([2, b, *branch_indices]), branch_indices)
     if l % 4 == 0:
         return doubled

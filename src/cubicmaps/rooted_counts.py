@@ -13,18 +13,20 @@ non-orientable ones, and every public count is a range guard plus one call
 to it. The census reads the forms for the quotient maps of symmetries,
 whose branch points become leaves. Each form is one integer numerator over
 one integer denominator, divided with a remainder check (exact_quotient),
-so a wrong transcription raises instead of rounding. Three private steps
-give the census a neighbouring count from a known one by an exact ratio,
-again with a remainder check: an orientable period-2 quotient one handle
-further, a non-orientable period-2 quotient two crosscaps further (one chain
-per parity of the crosscaps), and any non-orientable count one leaf further.
+so a wrong transcription raises instead of rounding. Two private generators
+give the census every quotient count it reads, each from a neighbouring one
+by an exact ratio, again with a remainder check: _orientable_period_two
+walks the orientable period-2 quotients one handle at a time, and
+_nonorientable_walk walks the non-orientable quotient keys in (crosscaps,
+leaves) order, the period-2 keys two crosscaps at a time (one chain per
+parity of the crosscaps) and every other key one leaf at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .exactnum import binomial, exact_quotient, factorial
 
@@ -88,56 +90,6 @@ def _nonorientable_form(gg: int, k: int) -> int:
             context,
         )
     return exact_quotient(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k), context)
-
-
-def _orientable_gg_step(g: int, gg: int, value: int) -> int:
-    """precubic_orientable(g, gg) for gg >= 1 from value = precubic_orientable(g, gg-1).
-
-    Along k = g-4gg, m = g-gg-2 the ratio is
-    (k+1)(k+2)(k+3)(k+4)(m+1) / (12 gg (2m+2)(2m+3)): a big-by-small product
-    and an exact division, so a wrong ratio raises.
-    """
-    k, m = g - 4 * gg, g - gg - 2
-    return exact_quotient(
-        value * ((k + 1) * (k + 2) * (k + 3) * (k + 4) * (m + 1)),
-        12 * gg * (2 * m + 2) * (2 * m + 3),
-        f"precubic orientable count at (g={g}, gg={gg})",
-    )
-
-
-def _nonorientable_leaf_step(gg: int, k: int, value: int) -> int:
-    """_nonorientable_form(gg, k+1) from value = _nonorientable_form(gg, k).
-
-    The ratio is 4(k+1+3h) / (k+1) for odd gg = 2h+1 and
-    (2k+6h-1)(2k+6h-2) / ((k+1)(k+3h-1)) for even gg = 2h, applied as a
-    big-by-small product and an exact division, so a wrong ratio raises.
-    """
-    h = gg // 2
-    if gg % 2 == 0:
-        num, den = (2 * k + 6 * h - 1) * (2 * k + 6 * h - 2), (k + 1) * (k + 3 * h - 1)
-    else:
-        num, den = 4 * (k + 1 + 3 * h), k + 1
-    return exact_quotient(value * num, den, f"precubic non-orientable count at (gg={gg}, k={k + 1})")
-
-
-def _nonorientable_gg_step(g: int, gg: int, value: int, partial: int) -> Tuple[int, int]:
-    """(precubic_nonorientable_by_genus_pair(g, gg), N) for gg >= 3 from value, the count at gg-2.
-
-    With h = (gg-2)//2 and k = g-2gg+4 the leaves at gg-2, the ratio is
-    k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) for odd gg, where partial passes
-    through unused. For even gg, partial is N_h of c_coefficient, stepped to
-    N_{h+1} = 16 N_h + C(2h, h) and returned, and the ratio is
-    N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
-    A big-by-small product and an exact division, so a wrong ratio raises.
-    """
-    h, k = (gg - 2) // 2, g - 2 * gg + 4
-    falling = k * (k - 1) * (k - 2) * (k - 3)
-    context = f"precubic non-orientable count at (g={g}, gg={gg})"
-    if gg % 2:
-        return exact_quotient(value * falling, 12 * (h + 1) * (g - h - 2), context), partial
-    stepped = 16 * partial + binomial(2 * h, h)
-    num = value * (stepped * falling * (g - h - 2))
-    return exact_quotient(num, 24 * (2 * h + 1) * partial * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4), context), stepped
 
 
 def c_coefficient(h: int) -> Fraction:
@@ -217,3 +169,81 @@ def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> int:
     if gg < 1 or g < 2 * gg:
         return 0
     return _nonorientable_form(gg, g - 2 * gg)
+
+
+# ============================================================
+# Chains of quotient counts for the census
+# ============================================================
+
+
+def _orientable_period_two(g: int) -> Iterator[int]:
+    """precubic_orientable(g, gg) for gg = 0, 1, ..., g//4: one chain from the public count at gg = 0.
+
+    Along k = g-4gg, m = g-gg-2 the ratio from gg-1 to gg is
+    (k+1)(k+2)(k+3)(k+4)(m+1) / (12 gg (2m+2)(2m+3)): a big-by-small product
+    and an exact division, so a wrong ratio raises.
+    """
+    value = precubic_orientable(g, 0)
+    yield value
+    for gg in range(1, g // 4 + 1):
+        k, m = g - 4 * gg, g - gg - 2
+        value = exact_quotient(
+            value * ((k + 1) * (k + 2) * (k + 3) * (k + 4) * (m + 1)),
+            12 * gg * (2 * m + 2) * (2 * m + 3),
+            f"precubic orientable count at (g={g}, gg={gg})",
+        )
+        yield value
+
+
+def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int]:
+    """The non-orientable precubic count at each key (gg, k) the genus-g census reads, in order.
+
+    The keys come in (gg, k) order, repeats allowed, and include every
+    period-2 key (gg, g-2gg), gg = 1..g//2. Those form two chains in h, one
+    per parity of gg, stepped two crosscaps at a time. Odd gg = 2h+1 starts at
+    gg = 1 from 4^{g-2} (the formal value 1 at the edgeless (1, 0) when g = 2);
+    even gg = 2h starts at gg = 2 from the public count and carries N_h of
+    c_coefficient by N_{h+1} = 16 N_h + C(2h, h). With h and k = g-2gg+4
+    those of gg-2, the ratios are k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) (odd)
+    and N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
+
+    Any other key repeating the last key reuses its count, one leaf past it
+    on the same surface steps that count (from k to k+1 leaves by
+    4(k+1+3h) / (k+1) for odd gg = 2h+1, (2k+6h-1)(2k+6h-2) / ((k+1)(k+3h-1))
+    for even gg = 2h), and otherwise starts a new chain from the public count.
+    Every step is a big-by-small product and an exact division, so a wrong
+    ratio raises.
+    """
+    counts = [0, 0]  # the count at the last period-2 key of each parity of gg
+    partial = 1  # N_h of the even chain's last key: N_1 = 1 at gg = 2
+    live, value = None, 0
+    for gg, k in keys:
+        context = f"precubic non-orientable count at (gg={gg}, k={k})"
+        if (gg, k) == live:
+            pass
+        elif 2 * gg + k == g:
+            # h and k(k-1)(k-2)(k-3) of the chain's previous key: gg-2 crosscaps, k+4 leaves
+            h, falling = gg // 2 - 1, (k + 4) * (k + 3) * (k + 2) * (k + 1)
+            if gg == 1:
+                counts[1] = 4 ** (g - 2)
+            elif gg == 2:
+                counts[0] = precubic_nonorientable_by_leaves(2, k)
+            elif gg % 2:
+                counts[1] = exact_quotient(counts[1] * falling, 12 * (h + 1) * (g - h - 2), context)
+            else:
+                stepped = 16 * partial + binomial(2 * h, h)
+                num = counts[0] * (stepped * falling * (g - h - 2))
+                den = 24 * (2 * h + 1) * partial * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4)
+                counts[0], partial = exact_quotient(num, den, context), stepped
+            value = counts[gg % 2]
+        elif live == (gg, k - 1):
+            h = gg // 2
+            if gg % 2 == 0:
+                num, den = (2 * k + 6 * h - 3) * (2 * k + 6 * h - 4), k * (k + 3 * h - 2)
+            else:
+                num, den = 4 * (k + 3 * h), k
+            value = exact_quotient(value * num, den, context)
+        else:
+            value = precubic_nonorientable_by_leaves(gg, k)
+        live = (gg, k)
+        yield value

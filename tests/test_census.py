@@ -7,7 +7,7 @@ from typing import Dict
 
 import pytest
 
-from cubicmaps import census
+from cubicmaps import census, rooted_counts
 from cubicmaps.census import (
     CensusRow,
     h2_term_nonorientable,
@@ -29,7 +29,6 @@ from cubicmaps.orbifolds import (
     solve_closed_orbifolds,
 )
 from cubicmaps.rooted_counts import (
-    _nonorientable_leaf_step,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -152,6 +151,14 @@ def test_period_two_chains_match_the_closed_form(monkeypatch, g: int) -> None:
     assert walked_period_two_values(monkeypatch, g) == want
 
 
+def one_leaf_further(gg: int, k: int, value: int) -> int:
+    """The precubic count at (gg, k+1) from value, the count at (gg, k): one ratio of Bernardi-Chapuy's form."""
+    h = gg // 2
+    if gg % 2:
+        return exact_quotient(value * 4 * (k + 1 + 3 * h), k + 1)
+    return exact_quotient(value * (2 * k + 6 * h - 1) * (2 * k + 6 * h - 2), (k + 1) * (k + 3 * h - 1))
+
+
 @pytest.mark.parametrize("first, last", [(1150, 1173), (1999, 2000)])
 def test_period_two_chains_match_the_closed_form_at_deep_genera(monkeypatch, first: int, last: int) -> None:
     # The closed form at the first genus, then one exact leaf step per genus:
@@ -160,7 +167,7 @@ def test_period_two_chains_match_the_closed_form_at_deep_genera(monkeypatch, fir
     want = {gg: precubic_nonorientable_by_genus_pair(first, gg) for gg in range(1, first // 2 + 1)}
     for g in range(first, last + 1):
         if g > first:
-            want = {gg: _nonorientable_leaf_step(gg, g - 1 - 2 * gg, value) for gg, value in want.items()}
+            want = {gg: one_leaf_further(gg, g - 1 - 2 * gg, value) for gg, value in want.items()}
             want.setdefault(g // 2, precubic_nonorientable_by_genus_pair(g, g // 2))
         assert walked_period_two_values(monkeypatch, g) == want
 
@@ -169,14 +176,14 @@ def test_period_two_chains_match_the_closed_form_at_deep_genera(monkeypatch, fir
 def test_period_two_keys_start_from_the_closed_form_only_at_two_crosscaps(monkeypatch, g: int) -> None:
     calls = []
 
-    def counted(cover: int, gg: int) -> int:
-        calls.append((cover, gg))
-        return precubic_nonorientable_by_genus_pair(cover, gg)
+    def counted(gg: int, k: int) -> int:
+        calls.append((gg, k))
+        return precubic_nonorientable_by_leaves(gg, k)
 
-    monkeypatch.setattr(census, "precubic_nonorientable_by_genus_pair", counted)
+    monkeypatch.setattr(rooted_counts, "precubic_nonorientable_by_leaves", counted)
     list(nonorientable_terms(g))
     # a period-2 key (gg, g-2gg) is the one key with covering genus 2gg+k = g
-    assert [gg for cover, gg in calls if cover == g] == ([2] if g >= 4 else [])
+    assert [gg for gg, k in calls if 2 * gg + k == g] == ([2] if g >= 4 else [])
 
 
 def test_signature_terms_are_the_closed_orbifold_rows() -> None:

@@ -181,6 +181,42 @@ def test_table_prints_past_the_digit_limit(capsys) -> None:
     assert sys.get_int_max_str_digits() == limit
 
 
+DIGIT_LIMIT_RUNS = {
+    "count": (0, "count", "--surface", "orientable", "--genus", "640", "--kind", "rooted"),
+    "table": (0, "table", "--surface", "nonorientable", "--gmin", "2", "--gmax", "5", "--format", "json"),
+    "orbifolds": (0, "orbifolds", "--genus", "5", "--format", "csv"),
+    "verify": (0, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3"),
+    "usage-error": (2, "count", "--surface", "nonorientable", "--genus", "1"),
+    "output-error": (2, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3"),
+    "huge-genus": (2, "count", "--surface", "orientable", "--genus", "7" * 5000),
+}
+
+
+@pytest.mark.parametrize("run", list(DIGIT_LIMIT_RUNS))
+def test_main_restores_the_digit_limit(capsys, monkeypatch, run) -> None:
+    # a limit other than the default, so that a restore to the default shows
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    if run == "output-error":
+
+        def stopped():
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "suite_integrality", stopped)
+    want, *argv = DIGIT_LIMIT_RUNS[run]
+    try:
+        code, out, err = _run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == want, err
+    if run == "count":
+        assert len(out.strip()) > 4321
+    if run == "huge-genus":
+        # parsed before main lifts the limit, so the digit string is no int
+        assert "argument --genus: invalid int value" in err
+
+
 def test_import_leaves_digit_limit_alone() -> None:
     code = (
         "import sys; before = sys.get_int_max_str_digits(); import cubicmaps.cli; "

@@ -98,11 +98,6 @@ def test_euler_phi_divisor_sum() -> None:
         assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
 
 
-def test_jordan_totient_first_order_is_phi() -> None:
-    for n in range(1, 50):
-        assert jordan_totient_or_zero(1, n, 1) == euler_phi(n)
-
-
 def test_jordan_totient_values() -> None:
     # J_2(n) = n^2 prod (1 - 1/p^2)
     assert jordan_totient_or_zero(2, 4, 1) == 12

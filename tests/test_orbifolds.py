@@ -55,7 +55,7 @@ def test_epsilon_h2_values() -> None:
         epsilon_h2_nonorientable(0, 1)
 
 
-def test_signature_solution_validation() -> None:
+def test_signature_solution_fields() -> None:
     sol = SignatureSolution(6, 1, 1, 0, 4)
     assert sol.contributes
     assert sol.branch_indices() == [2, 6]
