@@ -38,8 +38,16 @@ side partners, path ends and path sizes once, with the number of closed
 cycles, and restores that copy in place after every branch; twist bits
 need no copy, since a twist is read only on a glued side. Branches die
 early when a cycle closes with a size outside the degree set or a path
-outgrows the largest degree in it. Counts fixed by a symmetry reuse the
-same search, forcing the whole symmetry orbit of every placed pair at once.
+outgrows the largest degree in it.
+
+A path of the largest degree can only close. Each of its ends has one free
+flanking side, and any other partner for either side adds a corner, so
+every completion glues those two sides to each other, with the one twist
+that joins the ends. After every placement the search glues that pair for
+each such path at once, as a forced move, and branches again only on the
+smallest unmatched side; a forced move drops no gluing. Counts fixed by a
+symmetry reuse the same search, forcing the whole symmetry orbit of every
+placed pair, branched or forced, at once.
 
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
@@ -116,11 +124,13 @@ class _PartialGluing:
     """Side partners, twist bits and corner classes of a partial gluing.
 
     A corner path is stored at its ends: end[c] is the other end, size[c] the
-    corner count. `degrees` lists the sizes of the closed cycles. twist[s]
-    is meaningful once side s is glued and only read then, so a search
-    backtracks by restoring partner, end, size and the length of degrees,
-    never twist. A gluing fails when a cycle closes with a size outside
-    `allowed` (any size if None) or a path outgrows it.
+    corner count. `degrees` lists the sizes of the closed cycles, and `full`
+    one end of each path that grew to exactly `max_degree` corners, for the
+    search to close. twist[s] is meaningful once side s is glued and only
+    read then, so a search backtracks by restoring partner, end, size and the
+    lengths of degrees and full, never twist. A gluing fails when a cycle
+    closes with a size outside `allowed` (any size if None) or a path
+    outgrows it.
     """
 
     def __init__(self, n: int, allowed: Optional[AbstractSet[int]] = None):
@@ -132,13 +142,14 @@ class _PartialGluing:
         self.end = list(range(2 * n))
         self.size = [1] * (2 * n)
         self.degrees: List[int] = []
+        self.full: List[int] = []
 
     def glue(self, a: int, b: int, twist: bool) -> bool:
         """Glue sides a and b; False if either is glued otherwise or a corner class leaves the degree set.
 
         A pair already glued the same way is accepted as it is. On False the
         gluing may be half done: restore a copy of partner, end, size and
-        the length of degrees taken before.
+        the lengths of degrees and full taken before.
         """
         partner, end, size = self.partner, self.end, self.size
         if partner[a] != -1 or partner[b] != -1:
@@ -160,6 +171,8 @@ class _PartialGluing:
                 size[x] = size[y] = s
                 if s > self.max_degree:
                     return False
+                if s == self.max_degree:
+                    self.full.append(x)
         return True
 
     def invariants(self) -> MapInvariants:
@@ -194,10 +207,22 @@ def _count_search(
     degrees is a pruning set: gluings with a vertex degree outside it are
     not reached. symmetry is a side permutation; a reached gluing
     must be fixed by it, twist bits carried unchanged.
+
+    After every placement, each open corner path of the largest allowed
+    degree is closed at once. Each end x of such a path has one free
+    flanking side: side x, which x starts, or side x - 1, which x ends. Any
+    other partner for either free side adds a corner to the path, so every
+    completion glues the two free sides to each other, twisted when both
+    ends start their free sides or both end them: the forced pair drops no
+    gluing. The branch dies when the two free sides are one side or the
+    pair fails to glue. Without twists the pair is always untwisted: an
+    untwisted link joins a corner through the side it ends to a corner
+    through the side it starts, each inner corner of a path uses one of
+    each, so one end of a path starts its free side and the other ends it.
     """
     two_n = 2 * n
     state = _PartialGluing(n, degrees)
-    partner, end, size, cycles = state.partner, state.end, state.size, state.degrees
+    partner, end, size, cycles, full = state.partner, state.end, state.size, state.degrees, state.full
     twist_options = (False, True) if allow_twists else (False,)
 
     def place_orbit(i: int, j: int, twist: bool) -> bool:
@@ -214,6 +239,23 @@ def _count_search(
             if not state.glue(a, b, twist):
                 return False
 
+    def place(i: int, j: int, twist: bool) -> bool:
+        # the pair's orbit, then the forced pair of every path it filled, until none is left open
+        if not place_orbit(i, j, twist):
+            return False
+        while full:
+            x = full.pop()
+            x_side = x if partner[x] == -1 else x - 1
+            if partner[x_side] != -1:
+                continue  # a later placement closed the path
+            y = end[x]
+            y_side = y if partner[y] == -1 else y - 1
+            twisted = (x_side == x) == (y_side == y)
+            x_side, y_side = x_side % two_n, y_side % two_n
+            if x_side == y_side or not place_orbit(x_side, y_side, twisted):
+                return False
+        return True
+
     histogram: InvariantHistogram = Counter()
 
     def search() -> None:
@@ -226,10 +268,11 @@ def _count_search(
             if partner[j] != -1:
                 continue
             for twist in twist_options:
-                if place_orbit(first, j, twist):
+                if place(first, j, twist):
                     search()
                 partner[:], end[:], size[:] = saved_partner, saved_end, saved_size
                 del cycles[closed:]
+                full.clear()
 
     search()
     return histogram

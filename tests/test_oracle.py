@@ -134,20 +134,43 @@ def _is_fixed(gluing: PolygonGluing, symmetry) -> bool:
     return {(frozenset(symmetry[s] for s in pair), twist) for pair, twist in glued} == glued
 
 
-@pytest.mark.parametrize("degrees", [None, frozenset({1, 3}), frozenset({3})])
+# the empty set, top degrees 1 and 2 and gapped sets are where a wrongly forced side or twist would show
+@pytest.mark.parametrize(
+    "degrees",
+    [None, frozenset({1, 3}), frozenset({3}), frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset({2, 4}), frozenset({1, 2, 3})],
+)
 def test_fixed_searches_match_brute_force(degrees) -> None:
     for n in range(1, 5):
         two_n = 2 * n
         classified = [(g, classify(g)) for g in _all_gluings(n)]
         rotations = [[(s + d) % two_n for s in range(two_n)] for d in range(two_n)]
         reflections = [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
-        for symmetry in rotations + reflections:
-            expected = Counter(
+        for symmetry in [None] + rotations + reflections:
+            fixed = Counter(
                 invariants
                 for gluing, invariants in classified
-                if _is_fixed(gluing, symmetry) and (degrees is None or set(invariants.degrees) <= degrees)
+                if (symmetry is None or _is_fixed(gluing, symmetry))
+                and (degrees is None or set(invariants.degrees) <= degrees)
             )
-            assert oracle._count_search(n, True, degrees, symmetry) == expected, (n, symmetry)
+            for allow_twists in (True, False):
+                expected = Counter({inv: c for inv, c in fixed.items() if allow_twists or inv.orientable})
+                assert oracle._count_search(n, allow_twists, degrees, symmetry) == expected, (n, allow_twists, symmetry)
+
+
+def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
+    # branching alone makes 913,646 glue calls on this tree; closing every full path as a forced move about 49,000
+    calls = 0
+    glue = oracle._PartialGluing.glue
+
+    def counting_glue(self, a, b, twist):
+        nonlocal calls
+        calls += 1
+        return glue(self, a, b, twist)
+
+    monkeypatch.setattr(oracle._PartialGluing, "glue", counting_glue)
+    histogram = oracle._count_search(8, True, frozenset({1, 3}))
+    assert sum(histogram.values()) == 2304
+    assert calls < 100_000
 
 
 def test_completeness_partition_by_surface() -> None:
