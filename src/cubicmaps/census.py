@@ -8,14 +8,18 @@ contributions average out over the possible rootings.
 
 Every count is the sum of one list of named exact terms (key, numerator,
 denominator) from orientable_terms(g) or nonorientable_terms(g): the rooted
-average, then one term per correction sum, orbifold class or signature. One
-rule adds a list up (_assemble): numerators sharing a denominator are added
-as integers, and each distinct denominator costs one reduction. Each public
-count, row and correction term is one pass over one list.
+average, then one term per orbifold class or signature. A rotation class of
+order l on either surface is one ("hl", l, gg, n_s, n_v) term: epsilon times
+C(n_s+n_v, n_s) rooted quotient maps with n_s+n_v leaves on genus gg, over
+12g-6 + l*n_s (orientable) or 2(6g-6 + l*n_s) (non-orientable). One rule
+adds a list up (_assemble): numerators sharing a denominator are added as
+integers, the sums are joined over the lcm of their denominators, and the
+total is reduced once. Each public count, row and correction term is one
+pass over one list.
 
-The correction sums are integer Horner chains (hypergeometric_sum), and each
-prefactor (1/2, 1/4, 1/(4(3g-3))) is divided out by exact_quotient or
-require_integer, which raise on a remainder: a free correctness check.
+The quotient counts are walked in rooted_counts by exact small-ratio steps,
+and each total is divided out by exact_quotient or require_integer, which
+raise on a remainder: a free correctness check.
 """
 
 from __future__ import annotations
@@ -24,15 +28,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from .exactnum import (
-    binomial,
-    exact_quotient,
-    factorial,
-    hypergeometric_sum,
-    require_integer,
-)
+from .exactnum import binomial, exact_quotient, require_integer
 from .orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
@@ -42,7 +41,7 @@ from .orbifolds import (
 from .rooted_counts import (
     _nonorientable_walk,
     _orientable_period_two,
-    precubic_nonorientable_by_genus_pair,
+    _orientable_rotations,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
@@ -100,11 +99,21 @@ def nonorientable_census_row(g: int) -> CensusRow:
 
 
 def _assemble(terms: Iterable[Term]) -> Fraction:
-    """The exact sum of a term list: one integer sum and one reduction per distinct denominator."""
+    """The exact sum of a term list: one integer sum per distinct denominator, joined over their lcm.
+
+    Each sum is first cut to lowest terms (a big-by-small gcd), which keeps
+    the lcm small; the total is reduced once, by the Fraction.
+    """
     by_den: Dict[int, int] = defaultdict(int)
     for _, num, den in terms:
         by_den[den] += num
-    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+    total, common = 0, 1
+    for den, num in by_den.items():
+        shared = gcd(num, den)
+        num, den = num // shared, den // shared
+        shared = gcd(common, den)
+        total, common = total * (den // shared) + num * (common // shared), common // shared * den
+    return Fraction(total, common)
 
 
 # ============================================================
@@ -116,87 +125,45 @@ def orientable_terms(g: int) -> Iterator[Term]:
     """The named exact terms of the orientable genus-g census, as (key, numerator, denominator).
 
     The sensed count is the sum of the rotation terms:
-      ("rooted",)   the rooted count averaged over the 2(6g-3) rootings;
-      ("S2",)       sum_gg (4g-2-2gg)! / (2 3^gg gg! (2g-1-gg)! (2g-4gg+1)!);
-      ("S3",)       (2g-2)! / (6 (g-1)!) sum_gg (3/4)^{gg-1} (2^{g+1-3gg} + (-1)^{g-gg}) / (gg! (g+1-3gg)!);
-      ("S4", k)     sum_gg 3^{gg-2} (2^{2g-1-3k} + (-1)^k) (2k-2gg)!
-                    / (gg! (k-gg)! (4k+3-2g-4gg)! (2g-1-3k)!), for k from g//2 to (2g-2)//3,
-    with gg from 0 to k-g//2 in S4. A negative factorial in a denominator is
-    a pole that zeroes its summand. The unsensed count is half the sensed
-    count plus the two integer reflection terms, yielded last:
+      ("rooted",)               the rooted count averaged over the 2(6g-3) rootings;
+      ("hl", l, gg, n_s, n_v)   one per rotation class of order l in {2, 3, 6} with nonzero
+                                weight (listed and walked by rooted_counts._orientable_rotations):
+                                eps * C(n_s+n_v, n_s) * (precubic count with n_s+n_v leaves on
+                                genus gg) over 12g-6 + l*n_s, with eps = l^{2gg} b_l, b_2 = 1
+                                and b_3 = b_6 = 2 (2^{n_v} - (-1)^{n_v}) / 3.
+    The unsensed count is half the sensed count plus the two integer
+    reflection terms, yielded last:
       ("reflection", "orientable")      the rooted count at genus g/2 (0 for odd g);
-      ("reflection", "non-orientable")  precubic_nonorientable_by_genus_pair(2g, g),
+      ("reflection", "non-orientable")  the rooted non-orientable count at genus g,
     the period-2 quotient without branch points of a surface of Euler
     characteristic 2-2g: a leafless map on g crosscaps. At g=1 that is the
     formal value 1: the edgeless quotient still represents one reflection
     class there.
-
-    Consecutive summands in gg differ by a ratio of small integers, so each
-    sum is a hypergeometric chain evaluated by Horner's rule: S2 is one
-    chain, S3 two (its 2^{...} part and its (-1)^{...} part), S4 one chain
-    per k, ending at its last summand before a pole.
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
     yield ("rooted",), rooted_cubic_orientable(g), 2 * (6 * g - 3)
-    # S2: 2g-4gg+1 >= 1 for every gg <= g//2, so no summand is a pole.
-    yield ("S2",), *hypergeometric_sum(
-        factorial(4 * g - 2),
-        2 * factorial(2 * g - 1) * factorial(2 * g + 1),
-        [
-            (
-                (2 * g - 1 - gg)
-                * (2 * g - 4 * gg + 1) * (2 * g - 4 * gg) * (2 * g - 4 * gg - 1) * (2 * g - 4 * gg - 2),
-                3 * (gg + 1) * (4 * g - 2 - 2 * gg) * (4 * g - 3 - 2 * gg),
-            )
-            for gg in range(g // 2)
-        ],
-    )
-    # S3, prefactor folded into the first summands; g+1-3gg >= 0 up to (g+1)//3.
-    # Both chains step by the same ratio denominators, so they share one
-    # denominator and their numerators add.
-    falling = [(g + 1 - 3 * gg) * (g - 3 * gg) * (g - 1 - 3 * gg) for gg in range((g + 1) // 3)]
-    den = 18 * factorial(g - 1) * factorial(g + 1)
-    power, s3_den = hypergeometric_sum(
-        2 ** (g + 3) * factorial(2 * g - 2), den, [(3 * f, 32 * (gg + 1)) for gg, f in enumerate(falling)]
-    )
-    sign, _ = hypergeometric_sum(
-        (-1) ** g * 4 * factorial(2 * g - 2), den, [(-24 * f, 32 * (gg + 1)) for gg, f in enumerate(falling)]
-    )
-    yield ("S3",), power + sign, s3_den
-    # S4: 2g-1-3k >= 1 throughout, and 4k+3-2g-4gg >= 0 ends each chain.
-    for k in range(g // 2, (2 * g - 2) // 3 + 1):
-        top = 4 * k + 3 - 2 * g
-        yield ("S4", k), *hypergeometric_sum(
-            (2 ** (2 * g - 1 - 3 * k) + (-1) ** k) * factorial(2 * k),
-            9 * factorial(k) * factorial(top) * factorial(2 * g - 1 - 3 * k),
-            [
-                (
-                    3 * (top - 4 * gg) * (top - 4 * gg - 1) * (top - 4 * gg - 2) * (top - 4 * gg - 3),
-                    2 * (2 * k - 2 * gg - 1) * (gg + 1),
-                )
-                for gg in range(min(k - g // 2, top // 4))
-            ],
-        )
+    for l, gg, n_s, n_v, count in _orientable_rotations(g):
+        yield ("hl", l, gg, n_s, n_v), count, 12 * g - 6 + l * n_s
     yield ("reflection", "orientable"), rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0, 1
-    yield ("reflection", "non-orientable"), precubic_nonorientable_by_genus_pair(2 * g, g), 1
+    yield ("reflection", "non-orientable"), 1 if g == 1 else rooted_cubic_nonorientable(g), 1
 
 
 def _orientable_counts(g: int) -> Tuple[int, int, int]:
     """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms."""
-    terms = list(orientable_terms(g))
-    rotations = _assemble(term for term in terms if term[0][0] != "reflection")
-    sensed = require_integer(rotations, f"sensed orientable count at g={g}")
-    reflected = sum(num for key, num, _ in terms if key[0] == "reflection")  # integer terms
-    # terms[0] is ("rooted",), whose numerator is the rooted count
-    return terms[0][1], sensed, exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
+    *rotations, (_, orientable_quotients, _), (_, crosscap_quotients, _) = orientable_terms(g)  # the reflections
+    sensed = require_integer(_assemble(rotations), f"sensed orientable count at g={g}")
+    # rotations[0] is ("rooted",), whose numerator is the rooted count
+    reflected = orientable_quotients + crosscap_quotients
+    unsensed = exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
+    return rotations[0][1], sensed, unsensed
 
 
 def sensed_cubic_orientable(g: int) -> int:
     """Count cubic one-face maps on the orientable genus-g surface up to rotation.
 
     The sum of the rotation terms of orientable_terms(g): the rooted average
-    plus three correction sums for the maps fixed by nontrivial rotations
+    plus one correction term per class of rotations of order 2, 3 or 6
     (quotient maps on orbifolds of genus gg below g).
     """
     return _orientable_counts(g)[1]

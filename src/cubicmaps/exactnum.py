@@ -5,8 +5,8 @@ carry fractional prefactors are ``fractions.Fraction``. Everything downstream
 relies on two conventions fixed here:
 
   - a factorial of a negative integer appearing in a summand denominator is a
-    pole, and the whole summand vanishes (the census kernels end each
-    ``hypergeometric_sum`` chain before its first pole);
+    pole, and the whole summand vanishes (the census walks only the summands
+    before the first pole);
   - a Jordan totient evaluated at a non-integral argument is zero
     (``jordan_totient_or_zero``).
 
@@ -69,27 +69,6 @@ def exact_quotient(num: int, den: int, context: str = "value") -> int:
     if remainder:
         raise ArithmeticError(f"{context} is not an integer")
     return quotient
-
-
-# ============================================================
-# Hypergeometric sums
-# ============================================================
-
-
-def hypergeometric_sum(first_num: int, first_den: int, ratios: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    """Sum the terms t_0, ..., t_m with t_0 = first_num/first_den and t_{j+1} = t_j * p_j/q_j.
-
-    `ratios` lists the m pairs (p_j, q_j) of small integers. Horner's rule
-    from the last term back, t_0 (1 + r_0 (1 + r_1 (... (1 + r_{m-1})))),
-    keeps the inner value as an unreduced numerator/denominator pair, so each
-    step is a big-by-small product; the sum is that pair, over first_den
-    times every q_j, for the caller to reduce once. A zero term ends the
-    chain, so callers stop at the last nonzero term instead of a pole.
-    """
-    num = den = 1
-    for p, q in reversed(ratios):
-        num, den = q * den + p * num, q * den
-    return first_num * num, first_den * den
 
 
 # ============================================================

@@ -13,13 +13,15 @@ non-orientable ones, and every public count is a range guard plus one call
 to it. The census reads the forms for the quotient maps of symmetries,
 whose branch points become leaves. Each form is one integer numerator over
 one integer denominator, divided with a remainder check (exact_quotient),
-so a wrong transcription raises instead of rounding. Two private generators
-give the census every quotient count it reads, each from a neighbouring one
-by an exact ratio, again with a remainder check: _orientable_period_two
-walks the orientable period-2 quotients one handle at a time, and
-_nonorientable_walk walks the non-orientable quotient keys in (crosscaps,
-leaves) order, the period-2 keys two crosscaps at a time (one chain per
-parity of the crosscaps) and every other key one leaf at a time.
+so a wrong transcription raises instead of rounding. Three private
+generators give the census every quotient count it reads, each from a
+neighbouring one by an exact ratio, again with a remainder check:
+_orientable_period_two walks the orientable period-2 quotients one handle at
+a time, _orientable_rotations walks the orientable rotation classes of order
+2, 3 and 6 with their epimorphism weights, and _nonorientable_walk walks the
+non-orientable quotient keys in (crosscaps, leaves) order, the period-2 keys
+two crosscaps at a time (one chain per parity of the crosscaps) and every
+other key one leaf at a time.
 """
 
 from __future__ import annotations
@@ -193,6 +195,54 @@ def _orientable_period_two(g: int) -> Iterator[int]:
             f"precubic orientable count at (g={g}, gg={gg})",
         )
         yield value
+
+
+def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
+    """(l, gg, n_s, n_v, count) for every orientable rotation class of the genus-g census with nonzero count.
+
+    The count is l^{2gg} b_l C(n_s+n_v, n_s) P(gg, n_s+n_v), where P(gg, K) is
+    precubic_orientable(K+4gg, gg), l^{2gg} the handle factor of the
+    epimorphism count and b_l its branch factor: b_2 = 1, and
+    b_3 = b_6 = 2 (2^{n_v} - (-1)^{n_v}) / 3 order-3 branch assignments
+    summing to 0. The classes, each one chain of exact steps:
+      l = 2: n_s = 2g+1-4gg, n_v = 0 for gg = 0..g//2, _orientable_period_two(2g+1)
+             shifted by 4^{gg};
+      l = 3: n_s = 0, n_v = g+1-3gg >= 1, so m = n_v+3gg-2 = g-1 throughout,
+             stepped from gg to gg+1 by 9 K(K-1)(K-2) / (12 (gg+1)) with K = n_v;
+      l = 6: n_v = 2g-1-3k, n_s = 4k+3-2g-4gg >= 0 for k = g//2..(2g-2)//3,
+             so K = k+2-4gg and m = k-gg. The start at gg = 0 is stepped across k
+             by 2(2k+3) n_v(n_v-1)(n_v-2) / ((n_s+1)(n_s+2)(n_s+3)(n_s+4)), and
+             each k is one chain in gg by 3 n_s(n_s-1)(n_s-2)(n_s-3) / (2 (2m+1) (gg+1)).
+    C(n_s+n_v, n_s), l^2 per handle and b_l ride in the chain values, and each
+    step is a big-by-small product and an exact division, so a wrong ratio raises.
+    """
+    context = f"orientable rotation class count at g={g}"
+
+    def branched(value: int, n_v: int) -> int:
+        return exact_quotient(2 * ((value << n_v) - (-1) ** n_v * value), 3, context)
+
+    for gg, value in enumerate(_orientable_period_two(2 * g + 1)):
+        yield 2, gg, 2 * g + 1 - 4 * gg, 0, value << 2 * gg
+    value = precubic_orientable(g + 1, 0)
+    for gg in range(g // 3 + 1):
+        n_v = g + 1 - 3 * gg
+        if gg:
+            value = exact_quotient(value * (3 * (n_v + 3) * (n_v + 2) * (n_v + 1)), 4 * gg, context)
+        yield 3, gg, 0, n_v, branched(value, n_v)
+    first = g // 2
+    start = precubic_orientable(first + 2, 0) * binomial(first + 2, 4 * first + 3 - 2 * g)
+    for k in range(first, (2 * g - 2) // 3 + 1):
+        top, n_v = 4 * k + 3 - 2 * g, 2 * g - 1 - 3 * k
+        if k > first:  # from k-1, where n_v was 3 more and n_s 4 less
+            num = start * (2 * (2 * k + 1) * (n_v + 3) * (n_v + 2) * (n_v + 1))
+            start = exact_quotient(num, (top - 3) * (top - 2) * (top - 1) * top, context)
+        value = branched(start, n_v)
+        for gg in range(top // 4 + 1):
+            n_s = top - 4 * gg
+            if gg:  # from gg-1, where n_s was 4 more and m = k-gg+1
+                num = value * (3 * (n_s + 4) * (n_s + 3) * (n_s + 2) * (n_s + 1))
+                value = exact_quotient(num, 2 * (2 * k - 2 * gg + 3) * gg, context)
+            yield 6, gg, n_s, n_v, value
 
 
 def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int]:

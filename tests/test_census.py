@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Dict
 
 import pytest
 
-from cubicmaps import census, rooted_counts
+from cubicmaps import census, oracle, rooted_counts
 from cubicmaps.census import (
     CensusRow,
     h2_term_nonorientable,
@@ -15,6 +17,7 @@ from cubicmaps.census import (
     nonorientable_census_row,
     nonorientable_terms,
     orientable_census_row,
+    orientable_terms,
     sensed_cubic_orientable,
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
@@ -29,6 +32,7 @@ from cubicmaps.orbifolds import (
     solve_closed_orbifolds,
 )
 from cubicmaps.rooted_counts import (
+    SurfaceClass,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -131,6 +135,59 @@ def test_walked_terms_match_one_precubic_count_per_summand(g: int) -> None:
     terms = [(key, Fraction(num, den)) for key, num, den in nonorientable_terms(g)]
     assert len(dict(terms)) == len(terms)
     assert dict(terms) == {("rooted",): Fraction(rooted_cubic_nonorientable(g), 4 * (3 * g - 3)), **h2, **hl}
+
+
+def per_class_rotation_terms(g: int) -> Dict[tuple, Fraction]:
+    """One closed form per orientable rotation class, keyed like orientable_terms(g).
+
+    The classes of order l in {2, 3, 6} solve Riemann-Hurwitz,
+    2g-2 = l(2gg-2) + (l-1) + n_s l/2 + n_v 2l/3: the face centre, n_s
+    branch points of order 2 and n_v of order 3. Only those with nonzero
+    weight are kept.
+    """
+    terms = {}
+    for l in (2, 3, 6):
+        for gg in range(g + 1):
+            for n_v in range(g + 2) if l % 3 == 0 else [0]:
+                n_s, rest = divmod(12 * g - 12 - 12 * l * gg + 6 * l + 6 - 4 * l * n_v, 3 * l)
+                if rest or n_s < 0 or (n_s and l % 2):
+                    continue
+                branch = 1 if l == 2 else exact_quotient(2 * (2 ** n_v - (-1) ** n_v), 3)
+                k = n_s + n_v
+                weight = l ** (2 * gg) * branch * binomial(k, n_s) * precubic_orientable(k + 4 * gg, gg)
+                if weight:
+                    terms[("hl", l, gg, n_s, n_v)] = Fraction(weight, 12 * g - 6 + l * n_s)
+    return terms
+
+
+@pytest.mark.parametrize("g", list(range(1, 61)) + [627, 631])
+def test_walked_rotation_terms_match_one_precubic_count_per_summand(g: int) -> None:
+    # The census walks the order-2 counts in one chain, the order-3 counts in
+    # another, and the order-6 counts one chain per n_v from a start stepped
+    # across n_v; at g = 1 every class sits on genus 0.
+    terms = [(key, Fraction(num, den)) for key, num, den in orientable_terms(g)]
+    assert len(dict(terms)) == len(terms)
+    rotations = {key: value for key, value in terms if key[0] == "hl"}
+    assert rotations == per_class_rotation_terms(g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_rotations_of_each_order_fix_2n_times_their_terms(g: int) -> None:
+    # Burnside one rotation order at a time: the gluings fixed by the rotations
+    # of order l, one search per gcd class weighted by its size, are 2n times
+    # the ("hl", l, ...) terms; an order with no key fixes nothing.
+    n = 6 * g - 3
+    two_n = 2 * n
+    fixed: Dict[int, int] = defaultdict(int)
+    for step, size in Counter(math.gcd(d, two_n) for d in range(1, two_n)).items():
+        histogram = oracle._histogram(n, False, {3}, [(s + step) % two_n for s in range(two_n)])
+        fixed[two_n // step] += size * oracle._tally(histogram, SurfaceClass(True, g))
+    by_order: Dict[int, Fraction] = defaultdict(Fraction)
+    for key, num, den in orientable_terms(g):
+        if key[0] == "hl":
+            by_order[key[1]] += Fraction(num, den)
+    assert set(by_order) <= set(fixed)
+    assert fixed == {l: two_n * by_order[l] for l in fixed}
 
 
 def walked_period_two_values(monkeypatch, g: int) -> Dict[int, int]:

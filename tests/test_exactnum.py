@@ -12,7 +12,6 @@ from cubicmaps.exactnum import (
     euler_phi,
     exact_quotient,
     factorial,
-    hypergeometric_sum,
     jordan_totient_or_zero,
     lcm_list,
     prime_factorization,
@@ -59,20 +58,6 @@ def test_exact_quotient() -> None:
         exact_quotient(1, 2, "half")
     with pytest.raises(ArithmeticError):
         exact_quotient(factorial(500) + 1, factorial(499))
-
-
-def test_hypergeometric_sum() -> None:
-    # C(n, j+1) = C(n, j) (n-j)/(j+1): the row sum is 2^n
-    for n in range(0, 12):
-        assert Fraction(*hypergeometric_sum(1, 1, [(n - j, j + 1) for j in range(n)])) == 2 ** n
-    # alternating reciprocal factorials, first term 3/2
-    ratios = [(-1, j + 1) for j in range(6)]
-    num, den = hypergeometric_sum(3, 2, ratios)
-    assert Fraction(num, den) == sum(Fraction(3 * (-1) ** j, 2 * factorial(j)) for j in range(7))
-    # unreduced: the first denominator times every ratio denominator, so
-    # chains with the same ratio denominators share their denominator
-    assert den == 2 * factorial(6)
-    assert Fraction(*hypergeometric_sum(5, 7, [])) == Fraction(5, 7)
 
 
 def test_prime_factorization() -> None:
