@@ -79,7 +79,7 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 3.6 s at --max-edges-full 10 and 5.2 s at --max-edges-orientable 13.
+# takes about 1.6 s at --max-edges-full 10 and 2.0 s at --max-edges-orientable 13.
 MAX_EDGES_FULL = 10
 MAX_EDGES_ORIENTABLE = 13
 # The ranges of the census suites of `verify`.

@@ -49,6 +49,14 @@ smallest unmatched side; a forced move drops no gluing. Counts fixed by a
 symmetry reuse the same search, forcing the whole symmetry orbit of every
 placed pair, branched or forced, at once.
 
+The search without a symmetry walks half of its root. The mirror s -> -s
+(mod 2n), twist bits unchanged, keeps side 0, where every search branches
+first, and maps the gluings with 0 ~ j one to one onto those with
+0 ~ 2n - j, invariants kept, so the root walks j = 1..n and counts each
+gluing under j < n twice. Searches with a symmetry keep the full root: the
+mirror changes the fixed set of an odd reflection, and the other symmetry
+searches force whole orbits and are small.
+
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
 its surface, and a precubic count reads the one entry of its degree profile.
@@ -219,6 +227,9 @@ def _count_search(
     untwisted link joins a corner through the side it ends to a corner
     through the side it starts, each inner corner of a path uses one of
     each, so one end of a path starts its free side and the other ends it.
+
+    Without a symmetry the root branches only on 0~j for j <= n and counts
+    each gluing under j < n twice, for its mirror under 0~2n-j (see Search).
     """
     two_n = 2 * n
     state = _PartialGluing(n, degrees)
@@ -258,23 +269,25 @@ def _count_search(
 
     histogram: InvariantHistogram = Counter()
 
-    def search() -> None:
+    def search(weight: int) -> None:
         if -1 not in partner:
-            histogram[state.invariants()] += 1
+            histogram[state.invariants()] += weight
             return
         first = partner.index(-1)
         saved_partner, saved_end, saved_size, closed = partner[:], end[:], size[:], len(cycles)
-        for j in range(first + 1, two_n):
+        mirrored = first == 0 and symmetry is None
+        for j in range(first + 1, n + 1 if mirrored else two_n):
             if partner[j] != -1:
                 continue
+            branch_weight = 2 * weight if mirrored and j < n else weight
             for twist in twist_options:
                 if place(first, j, twist):
-                    search()
+                    search(branch_weight)
                 partner[:], end[:], size[:] = saved_partner, saved_end, saved_size
                 del cycles[closed:]
                 full.clear()
 
-    search()
+    search(1)
     return histogram
 
 
