@@ -150,13 +150,27 @@ def orientable_terms(g: int) -> Iterator[Term]:
 
 
 def _orientable_counts(g: int) -> Tuple[int, int, int]:
-    """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms."""
-    *rotations, (_, orientable_quotients, _), (_, crosscap_quotients, _) = orientable_terms(g)  # the reflections
-    sensed = require_integer(_assemble(rotations), f"sensed orientable count at g={g}")
-    # rotations[0] is ("rooted",), whose numerator is the rooted count
-    reflected = orientable_quotients + crosscap_quotients
+    """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms.
+
+    The rotation terms stream into _assemble; only the rooted and the two
+    reflection numerators are kept.
+    """
+    terms = orientable_terms(g)
+    rooted = next(terms)  # ("rooted",), whose numerator is the rooted count
+    reflected = 0
+
+    def rotations() -> Iterator[Term]:
+        nonlocal reflected
+        yield rooted
+        for term in terms:
+            if term[0][0] == "reflection":
+                reflected += term[1]
+            else:
+                yield term
+
+    sensed = require_integer(_assemble(rotations()), f"sensed orientable count at g={g}")
     unsensed = exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
-    return rotations[0][1], sensed, unsensed
+    return rooted[1], sensed, unsensed
 
 
 def sensed_cubic_orientable(g: int) -> int:

@@ -79,9 +79,9 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 1.6 s at --max-edges-full 10 and 2.0 s at --max-edges-orientable 13.
-MAX_EDGES_FULL = 10
-MAX_EDGES_ORIENTABLE = 13
+# takes about 6.1 s at --max-edges-full 12 and 6.6 s at --max-edges-orientable 15.
+MAX_EDGES_FULL = 12
+MAX_EDGES_ORIENTABLE = 15
 # The ranges of the census suites of `verify`.
 INTEGRALITY_GENUS_MAX = 200
 SPECIALIZATION_GENUS_MAX = 12

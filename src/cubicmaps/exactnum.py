@@ -100,8 +100,13 @@ def prime_factorization(n: int) -> List[Tuple[int, int]]:
     return out
 
 
+@cache
 def euler_phi(n: int) -> int:
-    """Return the Euler totient of n >= 1: the Jordan totient J_1(n)."""
+    """Return the Euler totient of n >= 1: the Jordan totient J_1(n).
+
+    Memoized: the solver asks for the few periods and lcms of one genus at
+    every signature.
+    """
     return jordan_totient_or_zero(1, n, 1)
 
 

@@ -593,14 +593,14 @@ def test_verify_rejects_uncalibratable_limits(capsys) -> None:
     assert _run(capsys, "verify", "--max-edges-full", "2")[0] == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--max-edges-full", "11"), ("--max-edges-orientable", "14")])
+@pytest.mark.parametrize("flag, value", [("--max-edges-full", "13"), ("--max-edges-orientable", "16")])
 def test_verify_rejects_limits_past_the_cap(capsys, flag, value) -> None:
     code, out, err = _run(capsys, "verify", flag, value)
     assert (code, out) == (2, "")
-    assert err == "error: the oracle caps --max-edges-orientable at 13 and --max-edges-full at 10\n"
+    assert err == "error: the oracle caps --max-edges-orientable at 15 and --max-edges-full at 12\n"
 
 
-@pytest.mark.parametrize("max_o, max_f", [(13, 10), (9, 8)])
+@pytest.mark.parametrize("max_o, max_f", [(15, 12), (9, 8)])
 def test_verify_accepts_limits_up_to_the_cap(capsys, monkeypatch, max_o, max_f) -> None:
     limits = []
     monkeypatch.setattr(cli, "suite_oracle_equivalence", lambda o, f: limits.append((o, f)) or [])

@@ -158,9 +158,10 @@ def test_fixed_searches_match_brute_force(degrees) -> None:
 
 
 def test_the_mirrored_identity_root_matches_the_full_root() -> None:
-    # past the brute-force sizes: an explicit identity permutation walks every root branch 0~j,
-    # symmetry None only j <= n, counting j < n twice; both parities of n, every tree of `verify --max-edges-full 8`
-    for allow_twists, top in ((True, 8), (False, 9)):
+    # past the brute-force sizes: an explicit identity permutation walks every root branch 0~j with no gap prune,
+    # symmetry None only j <= n, counting j < n twice, with no pair of gap below j and 2n / |S| per gluing;
+    # both parities of n, every tree of `verify --max-edges-full 8`, and sizes where the gap prune cuts most
+    for allow_twists, top in ((True, 10), (False, 11)):
         for n in range(5, top + 1):
             for degrees in (frozenset({3}), frozenset({1, 3})):
                 full_root = oracle._count_search(n, allow_twists, degrees, list(range(2 * n)))
@@ -168,8 +169,9 @@ def test_the_mirrored_identity_root_matches_the_full_root() -> None:
 
 
 def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
-    # branching alone makes 913,646 glue calls on this tree; closing every full path as a forced move 48,867,
-    # and walking only the root branches 0~j with j <= n, each j < n counted for its mirror too, 24,365
+    # branching alone makes 913,646 glue calls on this tree; closing every full path as a forced move 48,867;
+    # walking only the root branches 0~j with j <= n, each j < n counted for its mirror too, 24,365;
+    # and cutting every pair of gap below the root pair's, 7,463
     calls = 0
     glue = oracle._PartialGluing.glue
 
@@ -181,7 +183,7 @@ def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
     monkeypatch.setattr(oracle._PartialGluing, "glue", counting_glue)
     histogram = oracle._count_search(8, True, frozenset({1, 3}))
     assert sum(histogram.values()) == 2304
-    assert calls < 30_000
+    assert calls < 7_500
 
 
 def test_completeness_partition_by_surface() -> None:
