@@ -26,12 +26,10 @@ from .oracle import (
     count_unsensed,
 )
 from .orbifolds import (
-    H2OrbifoldClass,
     SignatureSolution,
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
     epsilon_hl,
-    h2_orbifold_family,
     solve_closed_orbifolds,
 )
 from .rooted_counts import (
@@ -51,7 +49,6 @@ __all__ = [
     "DEFAULT_MAX_EDGES_FULL",
     "DEFAULT_MAX_EDGES_ORIENTABLE",
     "EnumerationLimitError",
-    "H2OrbifoldClass",
     "MapInvariants",
     "PolygonGluing",
     "SignatureSolution",
@@ -65,7 +62,6 @@ __all__ = [
     "epsilon_h2_nonorientable",
     "epsilon_h2_orientable",
     "epsilon_hl",
-    "h2_orbifold_family",
     "nonorientable_census_row",
     "orientable_census_row",
     "precubic_nonorientable_by_genus_pair",

@@ -8,10 +8,12 @@ contributions average out over the possible rootings.
 
 Every count is the sum of one list of named exact terms (key, numerator,
 denominator) from orientable_terms(g) or nonorientable_terms(g): the rooted
-average, then one term per orbifold class or signature. A rotation class of
-order l on either surface is one ("hl", l, gg, n_s, n_v) term: epsilon times
-C(n_s+n_v, n_s) rooted quotient maps with n_s+n_v leaves on genus gg, over
-12g-6 + l*n_s (orientable) or 2(6g-6 + l*n_s) (non-orientable). One rule
+average, on orientable surfaces the two reflection terms of the unsensed
+count, then one term per period-2 quotient orbifold, rotation class or
+signature. A rotation class of order l on either surface is one
+("hl", l, gg, n_s, n_v) term: epsilon times C(n_s+n_v, n_s) rooted quotient
+maps with n_s+n_v leaves on genus gg, over 12g-6 + l*n_s (orientable) or
+2(6g-6 + l*n_s) (non-orientable). One rule
 adds a list up (_assemble): numerators sharing a denominator are added as
 integers, the sums are joined over the lcm of their denominators, and the
 total is reduced once. Each public count, row and correction term is one
@@ -28,16 +30,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import comb, gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from .exactnum import binomial, exact_quotient, require_integer
-from .orbifolds import (
-    epsilon_h2_nonorientable,
-    epsilon_h2_orientable,
-    h2_orbifold_family,
-    solve_closed_orbifolds,
-)
+from .exactnum import exact_quotient, require_integer
+from .orbifolds import epsilon_h2_nonorientable, epsilon_h2_orientable, solve_closed_orbifolds
 from .rooted_counts import (
     _nonorientable_walk,
     _orientable_period_two,
@@ -60,10 +57,10 @@ class CensusRow:
     """Counts for one genus: rooted, sensed (orientable rows only), unsensed.
 
     A row with `sensed` present is an orientable-surface row (edge count
-    6g-3), otherwise non-orientable (3g-3). Every unsensed map admits at most
-    4n rootings and every sensed map at most 2n, which gives the sandwich
-    bounds validated here: rooted/(4n) <= unsensed <= rooted, and for
-    orientable rows rooted/(2n) <= sensed <= rooted as well.
+    6g-3), otherwise non-orientable (3g-3, so g >= 2). Every unsensed map
+    admits at most 4n rootings and every sensed map at most 2n, which gives
+    the sandwich bounds validated here: rooted/(4n) <= unsensed <= rooted,
+    and for orientable rows rooted/(2n) <= sensed <= rooted as well.
     """
 
     genus: int
@@ -74,6 +71,8 @@ class CensusRow:
     def __post_init__(self) -> None:
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1 (got {self.genus})")
+        if self.sensed is None and self.genus < 2:
+            raise ValueError(f"non-orientable census needs g >= 2 (got {self.genus})")
         if min(self.rooted, self.unsensed) < 0 or (self.sensed is not None and self.sensed < 0):
             raise ValueError("counts must be nonnegative")
         if self.sensed is not None and not (self.unsensed <= self.sensed <= self.rooted):
@@ -124,61 +123,49 @@ def _assemble(terms: Iterable[Term]) -> Fraction:
 def orientable_terms(g: int) -> Iterator[Term]:
     """The named exact terms of the orientable genus-g census, as (key, numerator, denominator).
 
-    The sensed count is the sum of the rotation terms:
-      ("rooted",)               the rooted count averaged over the 2(6g-3) rootings;
-      ("hl", l, gg, n_s, n_v)   one per rotation class of order l in {2, 3, 6} with nonzero
-                                weight (listed and walked by rooted_counts._orientable_rotations):
-                                eps * C(n_s+n_v, n_s) * (precubic count with n_s+n_v leaves on
-                                genus gg) over 12g-6 + l*n_s, with eps = l^{2gg} b_l, b_2 = 1
-                                and b_3 = b_6 = 2 (2^{n_v} - (-1)^{n_v}) / 3.
-    The unsensed count is half the sensed count plus the two integer
-    reflection terms, yielded last:
+      ("rooted",)                       the rooted count averaged over the 2(6g-3) rootings;
       ("reflection", "orientable")      the rooted count at genus g/2 (0 for odd g);
-      ("reflection", "non-orientable")  the rooted non-orientable count at genus g,
-    the period-2 quotient without branch points of a surface of Euler
-    characteristic 2-2g: a leafless map on g crosscaps. At g=1 that is the
-    formal value 1: the edgeless quotient still represents one reflection
-    class there.
+      ("reflection", "non-orientable")  the rooted non-orientable count at genus g;
+      ("hl", l, gg, n_s, n_v)           one per rotation class of order l in {2, 3, 6} with
+                                        nonzero weight (rooted_counts._orientable_rotations):
+                                        eps * C(n_s+n_v, n_s) * (precubic count with n_s+n_v
+                                        leaves on genus gg) over 12g-6 + l*n_s, with
+                                        eps = l^{2gg} b_l, b_2 = 1, b_3 = b_6 = 2 (2^{n_v} - (-1)^{n_v}) / 3.
+    The sensed count is the sum of every term but the two reflections. The
+    unsensed count is half the sensed count plus the two integer reflection
+    terms; the non-orientable one is the period-2 quotient without branch
+    points of a surface of Euler characteristic 2-2g: a leafless map on g
+    crosscaps. At g=1 that is the formal value 1: the edgeless quotient still
+    represents one reflection class there.
     """
     if g < 1:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
     yield ("rooted",), rooted_cubic_orientable(g), 2 * (6 * g - 3)
-    for l, gg, n_s, n_v, count in _orientable_rotations(g):
-        yield ("hl", l, gg, n_s, n_v), count, 12 * g - 6 + l * n_s
     yield ("reflection", "orientable"), rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0, 1
     yield ("reflection", "non-orientable"), 1 if g == 1 else rooted_cubic_nonorientable(g), 1
+    for l, gg, n_s, n_v, count in _orientable_rotations(g):
+        yield ("hl", l, gg, n_s, n_v), count, 12 * g - 6 + l * n_s
 
 
 def _orientable_counts(g: int) -> Tuple[int, int, int]:
     """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms.
 
-    The rotation terms stream into _assemble; only the rooted and the two
-    reflection numerators are kept.
+    The first three terms are the rooted one and the two reflections; the
+    rotation terms after them stream into _assemble.
     """
     terms = orientable_terms(g)
-    rooted = next(terms)  # ("rooted",), whose numerator is the rooted count
-    reflected = 0
-
-    def rotations() -> Iterator[Term]:
-        nonlocal reflected
-        yield rooted
-        for term in terms:
-            if term[0][0] == "reflection":
-                reflected += term[1]
-            else:
-                yield term
-
-    sensed = require_integer(_assemble(rotations()), f"sensed orientable count at g={g}")
-    unsensed = exact_quotient(sensed + reflected, 2, f"unsensed orientable count at g={g}")
+    rooted, orientable, nonorientable = next(terms), next(terms), next(terms)
+    sensed = require_integer(_assemble(chain([rooted], terms)), f"sensed orientable count at g={g}")
+    unsensed = exact_quotient(sensed + orientable[1] + nonorientable[1], 2, f"unsensed orientable count at g={g}")
     return rooted[1], sensed, unsensed
 
 
 def sensed_cubic_orientable(g: int) -> int:
     """Count cubic one-face maps on the orientable genus-g surface up to rotation.
 
-    The sum of the rotation terms of orientable_terms(g): the rooted average
-    plus one correction term per class of rotations of order 2, 3 or 6
-    (quotient maps on orbifolds of genus gg below g).
+    The sum of orientable_terms(g) without its two reflection terms: the
+    rooted average plus one correction term per class of rotations of order
+    2, 3 or 6 (quotient maps on orbifolds of genus gg below g).
     """
     return _orientable_counts(g)[1]
 
@@ -200,8 +187,11 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     """The named exact terms of the non-orientable genus-g census, as (key, numerator, denominator).
 
       ("rooted",)                the rooted count averaged over the 4(3g-3) rootings;
-      ("h2", orientable, gg, r)  one per period-2 orbifold class (h2_orbifold_family):
-                                 half its epsilon times its precubic quotient count;
+      ("h2", orientable, gg, r)  one per period-2 quotient orbifold: orientable of genus
+                                 gg = 0..g//4 with r = g-4gg index-2 branch points, or
+                                 non-orientable with gg = 1..g//2 crosscaps and r = g-2gg
+                                 (Riemann-Hurwitz); half its epsilon times its precubic
+                                 quotient count with r leaves;
       ("hl", l, gg, n_s, n_v)    one per signature of solve_closed_orbifolds(g) with nonzero
                                  epsilon: a quarter of epsilon * C(n_s+n_v, n_s) * (precubic
                                  count with n_s+n_v leaves), divided by 3g-3 + l*n_s/2, that
@@ -222,29 +212,28 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     if g < 2:
         raise ValueError(f"non-orientable census needs g >= 2 (got {g})")
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
-    family = h2_orbifold_family(g)
-    for orb, quotients in zip([orb for orb in family if orb.orientable], _orientable_period_two(g)):
-        gg, r = orb.genus, orb.branch_points
-        yield ("h2", True, gg, r), epsilon_h2_orientable(gg, r) * quotients, 2
-    # (gg, k, 0, period-2 class) or (gg, k, 1, signature): the 0 sorts period 2
-    # first within a key, and the signature records themselves then sort in
-    # (l, n_s) order. Each term is built only when the walk reaches it.
-    walk = [(orb.genus, orb.branch_points, 0, orb) for orb in family if not orb.orientable]
+    for gg, quotients in enumerate(_orientable_period_two(g)):
+        yield ("h2", True, gg, g - 4 * gg), epsilon_h2_orientable(gg, g - 4 * gg) * quotients, 2
+    # (gg, k, 0, None) for a period-2 key or (gg, k, 1, signature): the 0 sorts
+    # period 2 first within a key and keeps None from being compared, and the
+    # signature records themselves then sort in (l, n_s) order. Each term is
+    # built only when the walk reaches it.
+    walk = [(gg, g - 2 * gg, 0, None) for gg in range(1, g // 2 + 1)]
     walk += ((s.genus, s.n_s + s.n_v, 1, s) for s in solve_closed_orbifolds(g) if s.epsilon)
     walk.sort()
-    for (gg, k, signature, record), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
-        if signature:
-            l, _, n_s, n_v, eps = record
-            yield ("hl", l, gg, n_s, n_v), eps * binomial(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
-        else:
+    for (gg, k, _, signature), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
+        if signature is None:
             yield ("h2", False, gg, k), epsilon_h2_nonorientable(gg, k) * value, 2
+        else:
+            l, _, n_s, n_v, eps = signature
+            yield ("hl", l, gg, n_s, n_v), eps * comb(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
 
 
 def h2_term_nonorientable(g: int) -> Fraction:
     """Period-2 contribution to the unsensed non-orientable count at genus g.
 
     The sum of the ("h2", ...) terms of nonorientable_terms(g), one per
-    period-2 orbifold class. Exact rational: integrality holds only for the
+    period-2 quotient orbifold. Exact rational: integrality holds only for the
     full assembly, not per term.
     """
     return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "h2")

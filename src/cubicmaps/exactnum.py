@@ -1,17 +1,14 @@
 """Exact arithmetic and number-theoretic helpers shared by all counting formulas.
 
 Counts are plain Python ints (arbitrary precision). Intermediate values that
-carry fractional prefactors are ``fractions.Fraction``. Everything downstream
-relies on two conventions fixed here:
-
-  - a factorial of a negative integer appearing in a summand denominator is a
-    pole, and the whole summand vanishes (the census walks only the summands
-    before the first pole);
-  - a Jordan totient evaluated at a non-integral argument is zero
-    (``jordan_totient_or_zero``).
-
-With these, every summand of every closed-form formula is total, and final
-integrality can be asserted instead of assumed.
+carry fractional prefactors are ``fractions.Fraction``. A Jordan totient
+evaluated at a non-integral argument is zero (``jordan_totient_or_zero``),
+which makes every epimorphism closed form total. The printed census sums
+also read a factorial of a negative integer in a summand denominator as a
+pole that kills the summand; only the literal references of the test suite
+apply that, as the census chains stop before the first pole. Binomials are
+``math.comb``, called with 0 <= k <= n. Final integrality is asserted
+(``require_integer``, ``exact_quotient``), never assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from functools import cache
 from typing import List, Sequence, Tuple
 
 # ============================================================
-# Factorials and binomials
+# Factorials and exact division
 # ============================================================
 
 
@@ -35,15 +32,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial is undefined for negative n (got {n})")
     return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Return C(n, k) for n >= 0, with C(n, k) = 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0 (got n={n})")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def require_integer(value: Fraction, context: str = "value") -> int:

@@ -61,14 +61,14 @@ is cut, and a complete gluing counts 2n / |S|. The mirror s -> -s (mod 2n),
 twist bits unchanged, keeps side 0 and every gap, and maps the gluings with
 0 ~ j one to one onto those with 0 ~ 2n - j, invariants and |S| kept, so
 the root walks j = 1..n and counts each gluing under j < n twice. The
-weights stay integers: the histogram is keyed by |S| as well, and each
-invariant's sum of 2n weight / |S| is joined over the lcm of the |S| values
-and divided once, exactly. On the twisted n = 8, degrees {1, 3} tree the
-forced moves bring the glue calls from 913,646 to 48,867, the mirror to
-24,365 and the least-gap root to 7,463. Searches with a symmetry keep the
-full root: a rotation or the mirror moves the fixed set of a reflection
-onto that of another, and the symmetry searches force whole orbits and are
-small.
+weights stay integers: every |S| <= 2n divides ties = lcm(1..2n), fixed once
+per search, so a gluing adds weight * (ties / |S|) under its invariants, and
+each invariant's sum times 2n is divided by ties once, exactly. On the
+twisted n = 8, degrees {1, 3} tree the forced moves bring the glue calls
+from 913,646 to 48,867, the mirror to 24,365 and the least-gap root to
+7,463. Searches with a symmetry keep the full root: a rotation or the
+mirror moves the fixed set of a reflection onto that of another, and the
+symmetry searches force whole orbits and are small.
 
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
@@ -245,8 +245,9 @@ def _count_search(
     Without a symmetry the root branches only on 0~j for j <= n, and j is
     the least gap: no pair below it is placed. A complete gluing adds its
     mirror weight (2 for j < n, for its mirror under 0~2n-j; 1 for j = n)
-    under (invariants, |S|), S the sides in pairs of gap j, and each
-    invariant then counts 2n weight / |S| summed, exactly (see Search).
+    times ties / |S| under its invariants, S the sides in pairs of gap j and
+    ties = lcm(1..2n), and each invariant then counts 2n / ties times its
+    sum, exactly (see Search).
     With a symmetry the least gap is 1: every pair may be placed.
     """
     two_n = 2 * n
@@ -285,17 +286,15 @@ def _count_search(
                 return False
         return True
 
-    # (invariants, |S|) -> weight without a symmetry, invariants -> count with one
-    histogram: Counter = Counter()
+    histogram: InvariantHistogram = Counter()
     least = 1  # no pair has a smaller gap: without a symmetry, the gap j of the root pair 0~j
+    ties = math.lcm(*range(1, two_n + 1))  # divisible by every |S| <= 2n
 
     def search(weight: int) -> None:
         if -1 not in partner:
             if symmetry is None:
-                tied = sum((p - s) % two_n in (least, two_n - least) for s, p in enumerate(partner))
-                histogram[state.invariants(), tied] += weight
-            else:
-                histogram[state.invariants()] += weight
+                weight *= ties // sum((p - s) % two_n in (least, two_n - least) for s, p in enumerate(partner))
+            histogram[state.invariants()] += weight
             return
         first = partner.index(-1)
         saved_partner, saved_end, saved_size, closed = partner[:], end[:], size[:], len(cycles)
@@ -320,12 +319,9 @@ def _count_search(
             partner[:], end[:], size[:] = fresh
             cycles.clear()
             full.clear()
-    # every invariant gets the sum of 2n weight / |S|, over the lcm of the |S| values
-    ties = math.lcm(*{tied for _, tied in histogram})
-    joined: Counter = Counter()
-    for (invariants, tied), weight in histogram.items():
-        joined[invariants] += two_n * weight * (ties // tied)
-    return Counter({inv: exact_quotient(total, ties, "rooted identity count") for inv, total in joined.items()})
+    return Counter(
+        {inv: exact_quotient(two_n * total, ties, "rooted identity count") for inv, total in histogram.items()}
+    )
 
 
 @functools.lru_cache(maxsize=16)

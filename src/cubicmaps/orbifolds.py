@@ -4,7 +4,9 @@ An order-l symmetry of a surface carrying a one-face cubic map descends to a
 quotient map on an orbifold. Two families matter here:
 
   - period-2 symmetries of either surface kind give an orbifold with a single
-    boundary component and only index-2 branch points ("h2" family);
+    boundary component and only index-2 branch points ("h2" family; the
+    census walks its two Riemann-Hurwitz ranges itself, so only its epsilon
+    coefficients live here);
   - longer periods acting on a non-orientable surface give a closed
     non-orientable orbifold whose signature is gg crosscaps with n_s index-2
     points (at semiedge ends), n_v index-3 points (at vertices), and one
@@ -19,8 +21,8 @@ operations implement the general closed forms (Jordan-totient expressions)
 that the epsilon shortcuts specialize; the test suite holds the two routes
 together.
 
-The records (H2OrbifoldClass, SignatureSolution) are plain named tuples:
-only the generators below build them, so they carry no constructor checks.
+The record SignatureSolution is a plain named tuple: only the solver below
+builds it, so it carries no constructor checks.
 """
 
 from __future__ import annotations
@@ -32,33 +34,8 @@ from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
 
 
 # ============================================================
-# Period-2 orbifold family
+# Period-2 coefficients
 # ============================================================
-
-
-class H2OrbifoldClass(NamedTuple):
-    """One admissible quotient orbifold of a period-2 symmetry.
-
-    `genus` is handles when orientable, crosscaps otherwise; `branch_points`
-    counts the index-2 branch points.
-    """
-
-    orientable: bool
-    genus: int
-    branch_points: int
-
-
-def h2_orbifold_family(g: int) -> List[H2OrbifoldClass]:
-    """All quotient orbifolds of period-2 symmetries of the non-orientable genus-g surface.
-
-    Orientable quotients: genus gg in [0, g//4] with r = g-4gg branch points.
-    Non-orientable quotients: gg in [1, g//2] with r = g-2gg. Empty for g < 2.
-    """
-    if g < 2:
-        return []
-    family = [H2OrbifoldClass(True, gg, g - 4 * gg) for gg in range(g // 4 + 1)]
-    family += [H2OrbifoldClass(False, gg, g - 2 * gg) for gg in range(1, g // 2 + 1)]
-    return family
 
 
 def epsilon_h2_orientable(gg: int, r: int) -> int:

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Tuple
 
-from .exactnum import binomial, exact_quotient, factorial
+from .exactnum import exact_quotient, factorial
 
 
 # ============================================================
@@ -230,7 +231,7 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
             value = exact_quotient(value * (3 * (n_v + 3) * (n_v + 2) * (n_v + 1)), 4 * gg, context)
         yield 3, gg, 0, n_v, branched(value, n_v)
     first = g // 2
-    start = precubic_orientable(first + 2, 0) * binomial(first + 2, 4 * first + 3 - 2 * g)
+    start = precubic_orientable(first + 2, 0) * comb(first + 2, 4 * first + 3 - 2 * g)
     for k in range(first, (2 * g - 2) // 3 + 1):
         top, n_v = 4 * k + 3 - 2 * g, 2 * g - 1 - 3 * k
         if k > first:  # from k-1, where n_v was 3 more and n_s 4 less
@@ -281,7 +282,7 @@ def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int
             elif gg % 2:
                 counts[1] = exact_quotient(counts[1] * falling, 12 * (h + 1) * (g - h - 2), context)
             else:
-                stepped = 16 * partial + binomial(2 * h, h)
+                stepped = 16 * partial + comb(2 * h, h)
                 num = counts[0] * (stepped * falling * (g - h - 2))
                 den = 24 * (2 * h + 1) * partial * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4)
                 counts[0], partial = exact_quotient(num, den, context), stepped

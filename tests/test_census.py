@@ -23,13 +23,12 @@ from cubicmaps.census import (
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
 )
-from cubicmaps.exactnum import binomial, exact_quotient
+from cubicmaps.exactnum import exact_quotient
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
 from cubicmaps.orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
     epsilon_hl,
-    h2_orbifold_family,
     solve_closed_orbifolds,
 )
 from cubicmaps.rooted_counts import (
@@ -53,6 +52,11 @@ def test_census_row_validation() -> None:
         CensusRow(2, 105, 5, 3)  # rooted above 2n * sensed
     with pytest.raises(ValueError):
         CensusRow(0, 1, 1, 1)
+    # a row without `sensed` is non-orientable, and 3g-3 edges need g >= 2
+    with pytest.raises(ValueError, match="non-orientable census needs g >= 2"):
+        CensusRow(1, 0, None, 0)
+    with pytest.raises(ValueError, match="non-orientable census needs g >= 2"):
+        CensusRow(1, 1, None, 1)
 
 
 def test_orientable_rows_match_frozen_table() -> None:
@@ -101,15 +105,15 @@ def test_symmetric_map_terms_small_genus() -> None:
 
 
 def per_summand_h2_term(g: int) -> Dict[tuple, Fraction]:
+    # Riemann-Hurwitz: orientable quotients of genus gg with g-4gg branch points,
+    # non-orientable ones with gg crosscaps and g-2gg
     terms = {}
-    for orb in h2_orbifold_family(g):
-        if orb.orientable:
-            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
-            quotients = precubic_orientable(g, orb.genus)
-        else:
-            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
-            quotients = precubic_nonorientable_by_genus_pair(g, orb.genus)
-        terms[("h2", orb.orientable, orb.genus, orb.branch_points)] = Fraction(eps * quotients, 2)
+    for gg in range(g // 4 + 1):
+        eps = epsilon_h2_orientable(gg, g - 4 * gg)
+        terms[("h2", True, gg, g - 4 * gg)] = Fraction(eps * precubic_orientable(g, gg), 2)
+    for gg in range(1, g // 2 + 1):
+        eps = epsilon_h2_nonorientable(gg, g - 2 * gg)
+        terms[("h2", False, gg, g - 2 * gg)] = Fraction(eps * precubic_nonorientable_by_genus_pair(g, gg), 2)
     return terms
 
 
@@ -120,7 +124,7 @@ def per_summand_hl_term(g: int) -> Dict[tuple, Fraction]:
         if eps:
             k = sol.n_s + sol.n_v
             quotients = precubic_nonorientable_by_leaves(sol.genus, k)
-            weighted = eps * binomial(k, sol.n_s) * quotients
+            weighted = eps * math.comb(k, sol.n_s) * quotients
             terms[("hl", sol.l, sol.genus, sol.n_s, sol.n_v)] = Fraction(weighted, 2 * (6 * g - 6 + sol.l * sol.n_s))
     return terms
 
@@ -155,7 +159,7 @@ def per_class_rotation_terms(g: int) -> Dict[tuple, Fraction]:
                     continue
                 branch = 1 if l == 2 else exact_quotient(2 * (2 ** n_v - (-1) ** n_v), 3)
                 k = n_s + n_v
-                weight = l ** (2 * gg) * branch * binomial(k, n_s) * precubic_orientable(k + 4 * gg, gg)
+                weight = l ** (2 * gg) * branch * math.comb(k, n_s) * precubic_orientable(k + 4 * gg, gg)
                 if weight:
                     terms[("hl", l, gg, n_s, n_v)] = Fraction(weight, 12 * g - 6 + l * n_s)
     return terms
@@ -168,8 +172,13 @@ def test_walked_rotation_terms_match_one_precubic_count_per_summand(g: int) -> N
     # across n_v; at g = 1 every class sits on genus 0.
     terms = [(key, Fraction(num, den)) for key, num, den in orientable_terms(g)]
     assert len(dict(terms)) == len(terms)
-    rotations = {key: value for key, value in terms if key[0] == "hl"}
+    # the rooted term and the two reflections come first, every rotation class after them
+    reflections = [("reflection", "orientable"), ("reflection", "non-orientable")]
+    assert [key for key, _ in terms[:3]] == [("rooted",), *reflections]
+    assert all(key[0] == "hl" for key, _ in terms[3:])
+    rotations = dict(terms[3:])
     assert rotations == per_class_rotation_terms(g)
+    assert sensed_cubic_orientable(g) == terms[0][1] + sum(rotations.values())
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

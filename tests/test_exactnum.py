@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from cubicmaps.exactnum import (
-    binomial,
     euler_phi,
     exact_quotient,
     factorial,
@@ -27,19 +26,6 @@ def test_factorial_matches_math() -> None:
 def test_factorial_rejects_negative() -> None:
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_binomial_values() -> None:
-    assert binomial(6, 3) == 20
-    assert binomial(5, 0) == 1
-    assert binomial(5, 5) == 1
-    assert binomial(5, 6) == 0
-    assert binomial(5, -1) == 0
-
-
-def test_binomial_rejects_negative_n() -> None:
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
 
 
 def test_require_integer() -> None:

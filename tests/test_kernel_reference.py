@@ -4,8 +4,9 @@ The library walks the quotient counts behind the correction terms as chains
 of exact small-ratio steps, and evaluates each closed form as one exact
 integer division. The reference functions below are the formulas as printed,
 with the pole convention applied summand by summand; they share no
-evaluation code with the kernels, only factorial, binomial and the orbifold
-enumeration. The orientable references keep the paper's three correction
+evaluation code with the kernels, only the cached factorial, the epsilon
+coefficients and the signature solver. The period-2 quotient orbifolds are
+the literal Riemann-Hurwitz ranges. The orientable references keep the paper's three correction
 sums S2, S3 and S4(k); the census splits them into one term per rotation
 class, and the tests add its terms up by sum.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import comb
 from typing import Dict
 
 import pytest
@@ -26,13 +28,8 @@ from cubicmaps.census import (
     sensed_cubic_orientable,
     unsensed_cubic_orientable,
 )
-from cubicmaps.exactnum import binomial, factorial, require_integer
-from cubicmaps.orbifolds import (
-    epsilon_h2_nonorientable,
-    epsilon_h2_orientable,
-    h2_orbifold_family,
-    solve_closed_orbifolds,
-)
+from cubicmaps.exactnum import factorial, require_integer
+from cubicmaps.orbifolds import epsilon_h2_nonorientable, epsilon_h2_orientable, solve_closed_orbifolds
 from cubicmaps.rooted_counts import (
     c_coefficient,
     precubic_nonorientable_by_genus_pair,
@@ -57,7 +54,7 @@ def factorial_or_zero_reciprocal(n: int) -> Fraction:
 
 
 def reference_c_coefficient(h: int) -> Fraction:
-    partial = sum(Fraction(binomial(2 * i, i), 16 ** i) for i in range(h))
+    partial = sum(Fraction(comb(2 * i, i), 16 ** i) for i in range(h))
     return Fraction(2 ** (2 * h - 2) * factorial(h), 3 ** (h - 1) * factorial(2 * h)) * partial
 
 
@@ -170,15 +167,12 @@ def reference_unsensed(g: int) -> int:
 
 
 def reference_h2_term(g: int) -> Fraction:
+    # orientable quotients of genus gg with g-4gg branch points, non-orientable ones with gg crosscaps and g-2gg
     total = Fraction(0)
-    for orb in h2_orbifold_family(g):
-        if orb.orientable:
-            eps = epsilon_h2_orientable(orb.genus, orb.branch_points)
-            quotients = reference_precubic_orientable(g, orb.genus)
-        else:
-            eps = epsilon_h2_nonorientable(orb.genus, orb.branch_points)
-            quotients = reference_precubic_by_genus_pair(g, orb.genus)
-        total += Fraction(eps * quotients, 2)
+    for gg in range(g // 4 + 1):
+        total += Fraction(epsilon_h2_orientable(gg, g - 4 * gg) * reference_precubic_orientable(g, gg), 2)
+    for gg in range(1, g // 2 + 1):
+        total += Fraction(epsilon_h2_nonorientable(gg, g - 2 * gg) * reference_precubic_by_genus_pair(g, gg), 2)
     return total
 
 
@@ -188,7 +182,7 @@ def reference_hl_term(g: int) -> Fraction:
         if not sol.contributes:
             continue
         k = sol.n_s + sol.n_v
-        total += Fraction(sol.epsilon * binomial(k, sol.n_s) * reference_precubic_by_leaves(sol.genus, k)) / Fraction(
+        total += Fraction(sol.epsilon * comb(k, sol.n_s) * reference_precubic_by_leaves(sol.genus, k)) / Fraction(
             6 * g - 6 + sol.l * sol.n_s, 2
         )
     return total / 4

@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 
-from cubicmaps import oracle
+from cubicmaps import cli, oracle
 from cubicmaps.oracle import (
     EnumerationLimitError,
     MapInvariants,
@@ -305,6 +305,24 @@ def test_rooted_and_burnside_identity_walk_one_tree() -> None:
     assert count_unsensed(6, surface, _CUBIC) == 11
     info = oracle._identity_histogram.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("max_f, trees", [(6, 14), (8, 16)])
+def test_the_queries_of_one_identity_tree_arrive_together(monkeypatch, max_f: int, trees: int) -> None:
+    # the 16-entry identity cache costs no re-walk only while each tree's queries are consecutive
+    cached = oracle._identity_histogram
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    cached.cache_clear()
+    monkeypatch.setattr(oracle, "_identity_histogram", recording)
+    cli.suite_oracle_equivalence(9, max_f)
+    runs = [key for key, _ in itertools.groupby(keys)]
+    assert len(runs) == len(set(runs)) == trees
+    assert cached.cache_info().misses == trees
 
 
 def test_limit_holds_on_a_warm_cache() -> None:

@@ -1,4 +1,4 @@
-"""Orbifold families, the signature solver, and the epimorphism closed forms."""
+"""The period-2 coefficients, the signature solver, and the epimorphism closed forms."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS
 from cubicmaps.orbifolds import (
-    H2OrbifoldClass,
     SignatureSolution,
     epi_nonorientable_boundary,
     epi_nonorientable_closed,
@@ -17,29 +16,8 @@ from cubicmaps.orbifolds import (
     epsilon_h2_nonorientable,
     epsilon_h2_orientable,
     epsilon_hl,
-    h2_orbifold_family,
     solve_closed_orbifolds,
 )
-
-
-def test_h2_orbifold_family_small_genus() -> None:
-    assert h2_orbifold_family(1) == []
-    family = h2_orbifold_family(2)
-    assert family == [H2OrbifoldClass(True, 0, 2), H2OrbifoldClass(False, 1, 0)]
-    family = h2_orbifold_family(4)
-    assert H2OrbifoldClass(True, 1, 0) in family
-    assert H2OrbifoldClass(False, 2, 0) in family
-    assert len(family) == 4
-
-
-def test_h2_orbifold_family_branch_accounting() -> None:
-    for g in range(2, 30):
-        for orb in h2_orbifold_family(g):
-            if orb.orientable:
-                assert orb.branch_points == g - 4 * orb.genus
-            else:
-                assert orb.branch_points == g - 2 * orb.genus
-            assert orb.branch_points >= 0
 
 
 def test_epsilon_h2_values() -> None:
