@@ -15,13 +15,14 @@ signature. A rotation class of order l on either surface is one
 maps with n_s+n_v leaves on genus gg, over 12g-6 + l*n_s (orientable) or
 2(6g-6 + l*n_s) (non-orientable). One rule
 adds a list up (_assemble): numerators sharing a denominator are added as
-integers, the sums are joined over the lcm of their denominators, and the
-total is reduced once. Each public count, row and correction term is one
-pass over one list.
+integers and the sums are joined over the lcm of their denominators. Each
+row and correction term is one pass over one list, and each public count
+reads its row, so every count passes the row's sandwich checks.
 
 The quotient counts are walked in rooted_counts by exact small-ratio steps,
-and each total is divided out by exact_quotient or require_integer, which
-raise on a remainder: a free correctness check.
+and each count is its total divided out once by exact_quotient, which
+raises on a remainder: a free correctness check. The correction terms are
+exact rationals, reduced once as a Fraction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import chain
 from math import comb, gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from .exactnum import exact_quotient, require_integer
+from .exactnum import exact_quotient
 from .orbifolds import epsilon_h2_nonorientable, epsilon_h2_orientable, solve_closed_orbifolds
 from .rooted_counts import (
     _nonorientable_walk,
@@ -86,22 +87,11 @@ class CensusRow:
             raise ValueError(f"rooted count exceeds 2n rootings per sensed map at g={self.genus}")
 
 
-def orientable_census_row(g: int) -> CensusRow:
-    """The (rooted, sensed, unsensed) row for the orientable genus-g surface."""
-    return CensusRow(g, *_orientable_counts(g))
-
-
-def nonorientable_census_row(g: int) -> CensusRow:
-    """The (rooted, unsensed) row for the non-orientable genus-g surface."""
-    rooted, unsensed = _nonorientable_counts(g)
-    return CensusRow(g, rooted, None, unsensed)
-
-
-def _assemble(terms: Iterable[Term]) -> Fraction:
+def _assemble(terms: Iterable[Term]) -> Tuple[int, int]:
     """The exact sum of a term list: one integer sum per distinct denominator, joined over their lcm.
 
     Each sum is first cut to lowest terms (a big-by-small gcd), which keeps
-    the lcm small; the total is reduced once, by the Fraction.
+    the lcm small. The pair (numerator, denominator) comes back unreduced.
     """
     by_den: Dict[int, int] = defaultdict(int)
     for _, num, den in terms:
@@ -112,7 +102,7 @@ def _assemble(terms: Iterable[Term]) -> Fraction:
         num, den = num // shared, den // shared
         shared = gcd(common, den)
         total, common = total * (den // shared) + num * (common // shared), common // shared * den
-    return Fraction(total, common)
+    return total, common
 
 
 # ============================================================
@@ -147,17 +137,17 @@ def orientable_terms(g: int) -> Iterator[Term]:
         yield ("hl", l, gg, n_s, n_v), count, 12 * g - 6 + l * n_s
 
 
-def _orientable_counts(g: int) -> Tuple[int, int, int]:
-    """The rooted, sensed and unsensed counts at orientable genus g from one pass over its terms.
+def orientable_census_row(g: int) -> CensusRow:
+    """The (rooted, sensed, unsensed) row for the orientable genus-g surface, from one pass over its terms.
 
     The first three terms are the rooted one and the two reflections; the
     rotation terms after them stream into _assemble.
     """
     terms = orientable_terms(g)
     rooted, orientable, nonorientable = next(terms), next(terms), next(terms)
-    sensed = require_integer(_assemble(chain([rooted], terms)), f"sensed orientable count at g={g}")
+    sensed = exact_quotient(*_assemble(chain([rooted], terms)), f"sensed orientable count at g={g}")
     unsensed = exact_quotient(sensed + orientable[1] + nonorientable[1], 2, f"unsensed orientable count at g={g}")
-    return rooted[1], sensed, unsensed
+    return CensusRow(g, rooted[1], sensed, unsensed)
 
 
 def sensed_cubic_orientable(g: int) -> int:
@@ -167,7 +157,7 @@ def sensed_cubic_orientable(g: int) -> int:
     rooted average plus one correction term per class of rotations of order
     2, 3 or 6 (quotient maps on orbifolds of genus gg below g).
     """
-    return _orientable_counts(g)[1]
+    return orientable_census_row(g).sensed
 
 
 def unsensed_cubic_orientable(g: int) -> int:
@@ -175,7 +165,7 @@ def unsensed_cubic_orientable(g: int) -> int:
 
     Half of (sensed count + the two reflection terms of orientable_terms(g)).
     """
-    return _orientable_counts(g)[2]
+    return orientable_census_row(g).unsensed
 
 
 # ============================================================
@@ -236,7 +226,7 @@ def h2_term_nonorientable(g: int) -> Fraction:
     period-2 quotient orbifold. Exact rational: integrality holds only for the
     full assembly, not per term.
     """
-    return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "h2")
+    return Fraction(*_assemble(term for term in nonorientable_terms(g) if term[0][0] == "h2"))
 
 
 def hl_term_nonorientable(g: int) -> Fraction:
@@ -246,15 +236,15 @@ def hl_term_nonorientable(g: int) -> Fraction:
     contributing closed signature. Summands sharing a dart count 6g-6 + l*n_s
     share their denominator, so each distinct one costs one reduction.
     """
-    return _assemble(term for term in nonorientable_terms(g) if term[0][0] == "hl")
+    return Fraction(*_assemble(term for term in nonorientable_terms(g) if term[0][0] == "hl"))
 
 
-def _nonorientable_counts(g: int) -> Tuple[int, int]:
-    """The rooted and unsensed counts at non-orientable genus g from one pass over its terms."""
+def nonorientable_census_row(g: int) -> CensusRow:
+    """The (rooted, unsensed) row for the non-orientable genus-g surface, from one pass over its terms."""
     terms = nonorientable_terms(g)
     rooted = next(terms)  # ("rooted",), whose numerator is the rooted count
-    total = _assemble(chain([rooted], terms))
-    return rooted[1], require_integer(total, f"unsensed non-orientable count at g={g}")
+    unsensed = exact_quotient(*_assemble(chain([rooted], terms)), f"unsensed non-orientable count at g={g}")
+    return CensusRow(g, rooted[1], None, unsensed)
 
 
 def unsensed_cubic_nonorientable(g: int) -> int:
@@ -263,4 +253,4 @@ def unsensed_cubic_nonorientable(g: int) -> int:
     The sum of nonorientable_terms(g): the rooted count averaged over
     4(3g-3) rootings, plus the period-2 and period-l correction terms.
     """
-    return _nonorientable_counts(g)[1]
+    return nonorientable_census_row(g).unsensed

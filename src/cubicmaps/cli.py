@@ -119,14 +119,12 @@ def _full_int_str() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-def _render(
-    fmt: str, headers: Sequence[str], rows: Iterable[Sequence[str]], json_rows: Optional[Iterable[dict]] = None
-) -> Iterator[str]:
+def _render(fmt: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
     """Yield a table as text: the header first, then one piece per row, as `rows` yields it.
 
     The pieces join to the whole document, JSON included (the indent=2 dump
     of the list of row objects), so a caller can write each row as soon as
-    it exists.
+    it exists. Cells are strings; a JSON cell may be any value json.dumps takes.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
@@ -134,10 +132,9 @@ def _render(
             yield ",".join(row) + "\n"
         return
     if fmt == "json":
-        records = json_rows if json_rows is not None else (dict(zip(headers, row)) for row in rows)
         opening = "[\n"
-        for record in records:
-            yield opening + textwrap.indent(json.dumps(record, indent=2), "  ")
+        for row in rows:
+            yield opening + textwrap.indent(json.dumps(dict(zip(headers, row)), indent=2), "  ")
             opening = ",\n"
         yield "[]\n" if opening == "[\n" else "\n]\n"
         return
@@ -202,27 +199,19 @@ def cmd_orbifolds(args: argparse.Namespace) -> int:
     if args.genus > MAX_GENUS:
         return _usage_error(f"--genus is capped at {MAX_GENUS}")
     solutions = solve_closed_orbifolds(args.genus)
-    headers = ("g", "l", "genus", "ns", "nv", "epsilon")
+    headers: Tuple[str, ...] = ("g", "l", "genus", "ns", "nv", "epsilon")
     rows = [
         (str(args.genus), str(s.l), str(s.genus), str(s.n_s), str(s.n_v), str(s.epsilon))
         for s in solutions
     ]
     if args.format == "json":
-        json_rows = [
-            {**dict(zip(headers, row)), "contributes": sol.contributes}
-            for sol, row in zip(solutions, rows)
-        ]
-        out = "".join(_render("json", headers, rows, json_rows=json_rows))
-    elif args.format == "csv":
-        out = "".join(_render("csv", headers, rows))
-    else:
-        marked = [
-            row if sol.contributes else row[:-1] + (row[-1] + " *",)
-            for sol, row in zip(solutions, rows)
-        ]
-        out = "".join(_render("markdown", headers, marked))
-        if any(not sol.contributes for sol in solutions):
-            out += "\n* epsilon = 0: contributes nothing to the census\n"
+        headers += ("contributes",)
+        rows = [row + (sol.contributes,) for sol, row in zip(solutions, rows)]
+    elif args.format == "markdown":
+        rows = [row if sol.contributes else row[:-1] + (row[-1] + " *",) for sol, row in zip(solutions, rows)]
+    out = "".join(_render(args.format, headers, rows))
+    if args.format == "markdown" and not all(sol.contributes for sol in solutions):
+        out += "\n* epsilon = 0: contributes nothing to the census\n"
     sys.stdout.write(out)
     return 0
 

@@ -7,14 +7,14 @@ which makes every epimorphism closed form total. The printed census sums
 also read a factorial of a negative integer in a summand denominator as a
 pole that kills the summand; only the literal references of the test suite
 apply that, as the census chains stop before the first pole. Binomials are
-``math.comb``, called with 0 <= k <= n. Final integrality is asserted
-(``require_integer``, ``exact_quotient``), never assumed.
+``math.comb``, called with 0 <= k <= n. Every division that must come out
+even is one ``exact_quotient``, which raises on a remainder: final
+integrality is checked, never assumed.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from typing import List, Sequence, Tuple
 
@@ -34,24 +34,13 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def require_integer(value: Fraction, context: str = "value") -> int:
-    """Convert an exact rational that must be integral into an int.
-
-    Raises ArithmeticError otherwise: a non-integral final count means a
-    formula was assembled wrongly, never that rounding is wanted. The message
-    leaves the value out: past 4300 digits, formatting it would raise
-    ValueError in place of this error.
-    """
-    if value.denominator != 1:
-        raise ArithmeticError(f"{context} is not an integer")
-    return int(value)
-
-
 def exact_quotient(num: int, den: int, context: str = "value") -> int:
     """Return num / den, which must be an integer; raise ArithmeticError otherwise.
 
-    The integer form of require_integer: one exact division instead of the
-    gcd a Fraction would take to reduce the pair first.
+    A remainder means a formula was assembled wrongly, never that rounding
+    is wanted. One exact division, where a Fraction would first take the gcd
+    of the pair. The message leaves the value out: past 4300 digits,
+    formatting it would raise ValueError in place of this error.
     """
     quotient, remainder = divmod(num, den)
     if remainder:

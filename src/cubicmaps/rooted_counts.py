@@ -13,12 +13,13 @@ non-orientable ones, and every public count is a range guard plus one call
 to it. The census reads the forms for the quotient maps of symmetries,
 whose branch points become leaves. Each form is one integer numerator over
 one integer denominator, divided with a remainder check (exact_quotient),
-so a wrong transcription raises instead of rounding. Three private
-generators give the census every quotient count it reads, each from a
-neighbouring one by an exact ratio, again with a remainder check:
-_orientable_period_two walks the orientable period-2 quotients one handle at
-a time, _orientable_rotations walks the orientable rotation classes of order
-2, 3 and 6 with their epimorphism weights, and _nonorientable_walk walks the
+so a wrong transcription raises instead of rounding. Private generators
+give the census every quotient count it reads, each from a neighbouring one
+by an exact ratio, again with a remainder check: _orientable_handles trades
+four index-2 branch points for one handle at a time (the chains of
+_orientable_period_two and of the order-2 and order-6 classes of
+_orientable_rotations, which walks the rotation classes of order 2, 3 and 6
+with their epimorphism weights), and _nonorientable_walk walks the
 non-orientable quotient keys in (crosscaps, leaves) order, the period-2 keys
 two crosscaps at a time (one chain per parity of the crosscaps) and every
 other key one leaf at a time.
@@ -179,23 +180,26 @@ def precubic_nonorientable_by_genus_pair(g: int, gg: int) -> int:
 # ============================================================
 
 
-def _orientable_period_two(g: int) -> Iterator[int]:
-    """precubic_orientable(g, gg) for gg = 0, 1, ..., g//4: one chain from the public count at gg = 0.
+def _orientable_handles(value: int, n_s: int, n_v: int, square: int) -> Iterator[int]:
+    """square^gg C(n_s'+n_v, n_s') P(gg, n_s'+n_v), n_s' = n_s-4gg, for gg = 0..n_s//4 from `value` at gg = 0.
 
-    Along k = g-4gg, m = g-gg-2 the ratio from gg-1 to gg is
-    (k+1)(k+2)(k+3)(k+4)(m+1) / (12 gg (2m+2)(2m+3)): a big-by-small product
-    and an exact division, so a wrong ratio raises.
+    P(gg, K) is precubic_orientable(K+4gg, gg). A handle takes four index-2
+    branch points: K drops by 4 and m = n_s'+n_v+3gg-2 by 1, so the step from
+    gg-1 to gg is square (n_s'+1)(n_s'+2)(n_s'+3)(n_s'+4) / (24 gg (2m+3)), exactly.
     """
-    value = precubic_orientable(g, 0)
+    context = f"orientable quotient count stepped from (gg=0, n_s={n_s}, n_v={n_v})"
     yield value
-    for gg in range(1, g // 4 + 1):
-        k, m = g - 4 * gg, g - gg - 2
-        value = exact_quotient(
-            value * ((k + 1) * (k + 2) * (k + 3) * (k + 4) * (m + 1)),
-            12 * gg * (2 * m + 2) * (2 * m + 3),
-            f"precubic orientable count at (g={g}, gg={gg})",
-        )
+    for gg in range(1, n_s // 4 + 1):
+        n_s -= 4
+        m = n_s + n_v + 3 * gg - 2
+        num = value * (square * (n_s + 1) * (n_s + 2) * (n_s + 3) * (n_s + 4))
+        value = exact_quotient(num, 24 * gg * (2 * m + 3), context)
         yield value
+
+
+def _orientable_period_two(g: int) -> Iterator[int]:
+    """precubic_orientable(g, gg) for gg = 0, 1, ..., g//4: one handle chain from the public count at gg = 0."""
+    return _orientable_handles(precubic_orientable(g, 0), g, 0, 1)
 
 
 def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
@@ -205,15 +209,16 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
     precubic_orientable(K+4gg, gg), l^{2gg} the handle factor of the
     epimorphism count and b_l its branch factor: b_2 = 1, and
     b_3 = b_6 = 2 (2^{n_v} - (-1)^{n_v}) / 3 order-3 branch assignments
-    summing to 0. The classes, each one chain of exact steps:
-      l = 2: n_s = 2g+1-4gg, n_v = 0 for gg = 0..g//2, _orientable_period_two(2g+1)
-             shifted by 4^{gg};
+    summing to 0. The classes, each a chain of exact steps (where n_s drops
+    by 4 per handle, the steps of _orientable_handles with square l^2):
+      l = 2: n_s = 2g+1-4gg, n_v = 0 for gg = 0..g//2, one handle chain from
+             precubic_orientable(2g+1, 0);
       l = 3: n_s = 0, n_v = g+1-3gg >= 1, so m = n_v+3gg-2 = g-1 throughout,
              stepped from gg to gg+1 by 9 K(K-1)(K-2) / (12 (gg+1)) with K = n_v;
       l = 6: n_v = 2g-1-3k, n_s = 4k+3-2g-4gg >= 0 for k = g//2..(2g-2)//3,
              so K = k+2-4gg and m = k-gg. The start at gg = 0 is stepped across k
              by 2(2k+3) n_v(n_v-1)(n_v-2) / ((n_s+1)(n_s+2)(n_s+3)(n_s+4)), and
-             each k is one chain in gg by 3 n_s(n_s-1)(n_s-2)(n_s-3) / (2 (2m+1) (gg+1)).
+             each k is one handle chain from b_6 times its start.
     C(n_s+n_v, n_s), l^2 per handle and b_l ride in the chain values, and each
     step is a big-by-small product and an exact division, so a wrong ratio raises.
     """
@@ -222,8 +227,8 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
     def branched(value: int, n_v: int) -> int:
         return exact_quotient(2 * ((value << n_v) - (-1) ** n_v * value), 3, context)
 
-    for gg, value in enumerate(_orientable_period_two(2 * g + 1)):
-        yield 2, gg, 2 * g + 1 - 4 * gg, 0, value << 2 * gg
+    for gg, value in enumerate(_orientable_handles(precubic_orientable(2 * g + 1, 0), 2 * g + 1, 0, 4)):
+        yield 2, gg, 2 * g + 1 - 4 * gg, 0, value
     value = precubic_orientable(g + 1, 0)
     for gg in range(g // 3 + 1):
         n_v = g + 1 - 3 * gg
@@ -237,13 +242,8 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
         if k > first:  # from k-1, where n_v was 3 more and n_s 4 less
             num = start * (2 * (2 * k + 1) * (n_v + 3) * (n_v + 2) * (n_v + 1))
             start = exact_quotient(num, (top - 3) * (top - 2) * (top - 1) * top, context)
-        value = branched(start, n_v)
-        for gg in range(top // 4 + 1):
-            n_s = top - 4 * gg
-            if gg:  # from gg-1, where n_s was 4 more and m = k-gg+1
-                num = value * (3 * (n_s + 4) * (n_s + 3) * (n_s + 2) * (n_s + 1))
-                value = exact_quotient(num, 2 * (2 * k - 2 * gg + 3) * gg, context)
-            yield 6, gg, n_s, n_v, value
+        for gg, value in enumerate(_orientable_handles(branched(start, n_v), top, n_v, 36)):
+            yield 6, gg, top - 4 * gg, n_v, value
 
 
 def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int]:

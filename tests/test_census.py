@@ -6,7 +6,8 @@ import math
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Dict
+from itertools import chain
+from typing import Dict, List
 
 import pytest
 
@@ -181,23 +182,54 @@ def test_walked_rotation_terms_match_one_precubic_count_per_summand(g: int) -> N
     assert sensed_cubic_orientable(g) == terms[0][1] + sum(rotations.values())
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
-def test_rotations_of_each_order_fix_2n_times_their_terms(g: int) -> None:
-    # Burnside one rotation order at a time: the gluings fixed by the rotations
-    # of order l, one search per gcd class weighted by its size, are 2n times
-    # the ("hl", l, ...) terms; an order with no key fixes nothing.
-    n = 6 * g - 3
+@pytest.mark.parametrize(
+    "surface",
+    [SurfaceClass(True, g) for g in (1, 2, 3)] + [SurfaceClass(False, g) for g in (2, 3, 4, 5)],
+    ids=lambda surface: str(surface.genus) if surface.orientable else f"nonorientable-{surface.genus}",
+)
+def test_rotations_of_each_order_fix_2n_times_their_terms(surface: SurfaceClass) -> None:
+    # Burnside one symmetry kind at a time, w = 2n on orientable surfaces (the
+    # terms average over 2n rootings) and 4n on non-orientable ones. The
+    # gluings fixed by the rotations of order l, one search per gcd class
+    # weighted by its size, are w times the ("hl", l, ...) terms; an order with
+    # no key fixes nothing. The reflections s -> c - s, n for each parity of c,
+    # fix w times the two reflection terms (orientable) or the h2 terms.
+    g, orientable = surface.genus, surface.orientable
+    n = 6 * g - 3 if orientable else 3 * g - 3
     two_n = 2 * n
-    fixed: Dict[int, int] = defaultdict(int)
+    weight = two_n if orientable else 2 * two_n
+
+    def fixed_by(symmetry: List[int]) -> int:
+        return oracle._tally(oracle._histogram(n, not orientable, {3}, symmetry), surface)
+
+    fixed: Dict[object, int] = defaultdict(int)
     for step, size in Counter(math.gcd(d, two_n) for d in range(1, two_n)).items():
-        histogram = oracle._histogram(n, False, {3}, [(s + step) % two_n for s in range(two_n)])
-        fixed[two_n // step] += size * oracle._tally(histogram, SurfaceClass(True, g))
-    by_order: Dict[int, Fraction] = defaultdict(Fraction)
-    for key, num, den in orientable_terms(g):
-        if key[0] == "hl":
-            by_order[key[1]] += Fraction(num, den)
-    assert set(by_order) <= set(fixed)
-    assert fixed == {l: two_n * by_order[l] for l in fixed}
+        fixed[two_n // step] += size * fixed_by([(s + step) % two_n for s in range(two_n)])
+    for c in (0, 1):
+        fixed["reflection"] += n * fixed_by([(c - s) % two_n for s in range(two_n)])
+    by_kind: Dict[object, Fraction] = defaultdict(Fraction)
+    for key, num, den in (orientable_terms if orientable else nonorientable_terms)(g):
+        if key[0] != "rooted":
+            by_kind[key[1] if key[0] == "hl" else "reflection"] += Fraction(num, den)
+    assert set(by_kind) <= set(fixed)
+    assert fixed == {kind: weight * by_kind[kind] for kind in fixed}
+
+
+@pytest.mark.parametrize(
+    "name, count, rooted, factor",
+    [
+        ("orientable_terms", sensed_cubic_orientable, rooted_cubic_orientable, 2),
+        ("nonorientable_terms", unsensed_cubic_nonorientable, rooted_cubic_nonorientable, 1),
+    ],
+    ids=["orientable", "nonorientable"],
+)
+def test_a_count_gets_its_rows_checks(monkeypatch, name: str, count, rooted, factor: int) -> None:
+    # an extra term worth factor times the rooted count (2 keeps the unsensed
+    # halving exact) lifts the count above the rooted one, which its row refuses
+    terms = getattr(census, name)
+    monkeypatch.setattr(census, name, lambda g: chain(terms(g), [(("extra",), factor * rooted(g), 1)]))
+    with pytest.raises(ValueError, match="<= rooted at g=3"):
+        count(3)
 
 
 def walked_period_two_values(monkeypatch, g: int) -> Dict[int, int]:

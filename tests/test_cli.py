@@ -251,12 +251,19 @@ def test_orbifolds_markdown_single_row(capsys) -> None:
 
 
 def test_orbifolds_markdown_marks_zero_rows(capsys) -> None:
-    code, out, _ = _run(capsys, "orbifolds", "--genus", "5")
+    # the README's genus-3 table: three of its four signatures have epsilon = 0
+    code, out, _ = _run(capsys, "orbifolds", "--genus", "3")
     assert code == 0
-    lines = out.splitlines()
-    assert "| 5 | 3 | 1 | 0 | 2 | 8 |" in lines
-    assert "| 5 | 2 | 1 | 4 | 0 | 0 * |" in lines
-    assert lines[-1].startswith("* epsilon = 0")
+    assert out == (
+        "| g | l | genus | ns | nv | epsilon |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| 3 | 2 | 1 | 2 | 0 | 0 * |\n"
+        "| 3 | 2 | 2 | 0 | 0 | 0 * |\n"
+        "| 3 | 3 | 1 | 0 | 1 | 4 |\n"
+        "| 3 | 4 | 1 | 1 | 0 | 0 * |\n"
+        "\n"
+        "* epsilon = 0: contributes nothing to the census\n"
+    )
 
 
 def test_orbifolds_csv_schema(capsys) -> None:
@@ -266,23 +273,17 @@ def test_orbifolds_csv_schema(capsys) -> None:
 
 
 def test_orbifolds_json_contributes_flag(capsys) -> None:
-    code, out, _ = _run(capsys, "orbifolds", "--genus", "5", "--format", "json")
+    # every cell a string but the contributes flag, which is a JSON bool
+    code, out, _ = _run(capsys, "orbifolds", "--genus", "3", "--format", "json")
     assert code == 0
-    rows = json.loads(out)
-    flagged = [row for row in rows if row["contributes"]]
-    assert len(flagged) == 1
-    assert flagged[0] == {
-        "g": "5",
-        "l": "3",
-        "genus": "1",
-        "ns": "0",
-        "nv": "2",
-        "epsilon": "8",
-        "contributes": True,
-    }
-    for row in rows:
-        for key, value in row.items():
-            assert isinstance(value, bool if key == "contributes" else str)
+    headers = ("g", "l", "genus", "ns", "nv", "epsilon", "contributes")
+    rows = [
+        ("3", "2", "1", "2", "0", "0", False),
+        ("3", "2", "2", "0", "0", "0", False),
+        ("3", "3", "1", "0", "1", "4", True),
+        ("3", "4", "1", "1", "0", "0", False),
+    ]
+    assert out == json.dumps([dict(zip(headers, row)) for row in rows], indent=2) + "\n"
 
 
 def test_orbifolds_rows_sorted(capsys) -> None:

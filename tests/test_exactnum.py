@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,6 @@ from cubicmaps.exactnum import (
     jordan_totient_or_zero,
     lcm_list,
     prime_factorization,
-    require_integer,
 )
 
 
@@ -28,15 +26,6 @@ def test_factorial_rejects_negative() -> None:
         factorial(-1)
 
 
-def test_require_integer() -> None:
-    assert require_integer(Fraction(6, 3)) == 2
-    assert isinstance(require_integer(Fraction(4, 2)), int)
-    with pytest.raises(ArithmeticError):
-        require_integer(Fraction(1, 2), "half")
-    with pytest.raises(ArithmeticError):
-        require_integer(Fraction(10 ** 4400 + 1, 2))
-
-
 def test_exact_quotient() -> None:
     assert exact_quotient(factorial(10), factorial(7)) == 720
     assert exact_quotient(-12, 4) == -3
@@ -44,6 +33,8 @@ def test_exact_quotient() -> None:
         exact_quotient(1, 2, "half")
     with pytest.raises(ArithmeticError):
         exact_quotient(factorial(500) + 1, factorial(499))
+    with pytest.raises(ArithmeticError):  # past the 4300-digit str limit, the message still formats
+        exact_quotient(10 ** 4400 + 1, 2)
 
 
 def test_prime_factorization() -> None:

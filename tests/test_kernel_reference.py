@@ -28,7 +28,7 @@ from cubicmaps.census import (
     sensed_cubic_orientable,
     unsensed_cubic_orientable,
 )
-from cubicmaps.exactnum import factorial, require_integer
+from cubicmaps.exactnum import factorial
 from cubicmaps.orbifolds import epsilon_h2_nonorientable, epsilon_h2_orientable, solve_closed_orbifolds
 from cubicmaps.rooted_counts import (
     c_coefficient,
@@ -44,6 +44,11 @@ GENERA = list(range(1, 81)) + [150, 201, 300]
 # ============================================================
 # Reference formulas, summed literally
 # ============================================================
+
+
+def require_integer(value: Fraction) -> int:
+    assert value.denominator == 1, "a reference formula summed to a non-integer"
+    return value.numerator
 
 
 def factorial_or_zero_reciprocal(n: int) -> Fraction:

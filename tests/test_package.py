@@ -20,9 +20,11 @@ def test_star_import_binds_every_exported_name() -> None:
 
 
 def test_removed_pass_through_names_stay_absent() -> None:
-    # the census walks the period-2 ranges itself, and binomials are math.comb
+    # the census walks the period-2 ranges itself, binomials are math.comb,
+    # and every integrality check is one exact_quotient
     for name in ("H2OrbifoldClass", "h2_orbifold_family"):
         assert name not in cubicmaps.__all__
         assert not hasattr(cubicmaps, name)
         assert not hasattr(orbifolds, name)
     assert not hasattr(exactnum, "binomial")
+    assert not hasattr(exactnum, "require_integer")
