@@ -19,6 +19,7 @@ from .oracle import (
     EnumerationLimitError,
     MapInvariants,
     PolygonGluing,
+    SurfaceClass,
     classify,
     count_precubic,
     count_rooted,
@@ -33,7 +34,6 @@ from .orbifolds import (
     solve_closed_orbifolds,
 )
 from .rooted_counts import (
-    SurfaceClass,
     c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,

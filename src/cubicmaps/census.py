@@ -192,8 +192,10 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     rooted_counts: the orientable period-2 quotients (gg, k = g-4gg) from
     _orientable_period_two, and every non-orientable quotient count,
     period-2 (gg, g-2gg) or closed signature (gg, n_s+n_v), from
-    _nonorientable_walk over those keys in (gg, k) order. Each term is
-    yielded as soon as its count is known.
+    _nonorientable_walk over those keys in (gg, k) order; a stable sort
+    keeps the period-2 term of a key before its signatures, and those in
+    the solver's order of l. Each term is yielded as soon as its count is
+    known.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
@@ -204,14 +206,10 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
     for gg, quotients in enumerate(_orientable_period_two(g)):
         yield ("h2", True, gg, g - 4 * gg), epsilon_h2_orientable(gg, g - 4 * gg) * quotients, 2
-    # (gg, k, 0, None) for a period-2 key or (gg, k, 1, signature): the 0 sorts
-    # period 2 first within a key and keeps None from being compared, and the
-    # signature records themselves then sort in (l, n_s) order. Each term is
-    # built only when the walk reaches it.
-    walk = [(gg, g - 2 * gg, 0, None) for gg in range(1, g // 2 + 1)]
-    walk += ((s.genus, s.n_s + s.n_v, 1, s) for s in solve_closed_orbifolds(g) if s.epsilon)
-    walk.sort()
-    for (gg, k, _, signature), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
+    walk = [(gg, g - 2 * gg, None) for gg in range(1, g // 2 + 1)]
+    walk += ((s.genus, s.n_s + s.n_v, s) for s in solve_closed_orbifolds(g) if s.epsilon)
+    walk.sort(key=lambda entry: entry[:2])
+    for (gg, k, signature), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
         if signature is None:
             yield ("h2", False, gg, k), epsilon_h2_nonorientable(gg, k) * value, 2
         else:

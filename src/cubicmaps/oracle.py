@@ -73,13 +73,10 @@ symmetry searches force whole orbits and are small.
 A search returns the histogram of the invariants (orientable, genus,
 degrees) of the gluings it reaches. Each count sums the histogram entries on
 its surface, and a precubic count reads the one entry of its degree profile.
-The tree depends only on (n, twist mode, degree set), so the identity tree
-of such a triple is walked once per process and cached: rooted, precubic and
-Burnside-identity queries all read the same histogram.
-
-A Burnside sum searches once per class of symmetries with equal fixed counts
-and weights each result by the class size: one class of rotations by d per
-value of gcd(d, 2n), and two of reflections s -> c - s by the parity of c.
+A search depends only on (n, twist mode, degree set, symmetry), so one
+bounded cache serves every query: rooted, precubic and Burnside queries of
+one tree read the same histogram. A Burnside sum searches once per class of
+symmetries with equal fixed counts, weighted by the class size.
 """
 
 from __future__ import annotations
@@ -91,7 +88,6 @@ from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactnum import exact_quotient
-from .rooted_counts import SurfaceClass
 
 # Enumeration limits: full twisted enumeration visits (2n-1)!! 2^n gluings,
 # orientable-only (2n-1)!!, so the affordable n differ. Callers may raise the
@@ -128,6 +124,23 @@ class PolygonGluing:
             seen.update((i, j))
         if len(seen) != 2 * self.n:
             raise ValueError("pairs must partition the sides (fixed-point-free involution)")
+
+
+@dataclass(frozen=True)
+class SurfaceClass:
+    """A closed surface: orientable with `genus` handles, or not, with `genus` crosscaps."""
+
+    orientable: bool
+    genus: int
+
+    def __post_init__(self) -> None:
+        if self.genus < 0:
+            raise ValueError(f"genus must be >= 0 (got {self.genus})")
+        if not self.orientable and self.genus < 1:
+            raise ValueError("a non-orientable surface needs at least one crosscap")
+
+    def euler_characteristic(self) -> int:
+        return 2 - 2 * self.genus if self.orientable else 2 - self.genus
 
 
 @dataclass(frozen=True)
@@ -325,26 +338,18 @@ def _count_search(
 
 
 @functools.lru_cache(maxsize=16)
-def _identity_histogram(n: int, allow_twists: bool, degrees: Optional[FrozenSet[int]]) -> InvariantHistogram:
-    """The search without a symmetry of one (n, twist mode, degree set), walked once per process.
-
-    Callers only read the shared result. 16 entries hold every identity tree
-    of `verify --max-edges-full 8`, and the queries of one tree come one
-    after another, also at the caps (26 trees), so the bound costs no walk
-    while keeping memory bounded.
-    """
-    return _count_search(n, allow_twists, degrees)
-
-
 def _histogram(
     n: int,
     allow_twists: bool,
-    degrees: Optional[AbstractSet[int]],
-    symmetry: Optional[Sequence[int]] = None,
+    degrees: Optional[FrozenSet[int]],
+    symmetry: Optional[Tuple[int, ...]],
 ) -> InvariantHistogram:
-    """The invariant histogram of one search; the identity (symmetry None) is read from the per-process cache."""
-    if symmetry is None:
-        return _identity_histogram(n, allow_twists, None if degrees is None else frozenset(degrees))
+    """The search of one key, cached; every caller passes all four arguments, hashable, and only reads the result.
+
+    `verify` asks for each identity tree's queries one after another (16
+    trees at --max-edges-full 8, 26 at the caps), so 16 entries bound the
+    memory and walk no identity tree twice.
+    """
     return _count_search(n, allow_twists, degrees, symmetry)
 
 
@@ -392,7 +397,24 @@ def count_rooted(
     """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
-    return _tally(_histogram(n, full_mode, degrees), surface)
+    return _tally(_histogram(n, full_mode, None if degrees is None else frozenset(degrees), None), surface)
+
+
+def _symmetry_classes(n: int) -> List[Tuple[object, int, Optional[Tuple[int, ...]]]]:
+    """The symmetries of the 2n-gon in classes of equal fixed counts, as (kind, size, permutation).
+
+    Kind 1 is the identity, searched as None (the rooted tree). Kind l holds
+    the rotations of order l, by the d with gcd(d, 2n) = 2n / l, which
+    generate one group. Kind "reflection" is each parity class of the
+    reflections s -> c - s: a rotation by e turns c into c + 2e.
+    """
+    two_n = 2 * n
+    rotations = Counter(math.gcd(d, two_n) for d in range(1, two_n))
+    return (
+        [(1, 1, None)]
+        + [(two_n // step, size, tuple((s + step) % two_n for s in range(two_n))) for step, size in rotations.items()]
+        + [("reflection", n, tuple((c - s) % two_n for s in range(two_n))) for c in (0, 1)]
+    )
 
 
 def _burnside(
@@ -404,20 +426,15 @@ def _burnside(
 ) -> int:
     """Average the fixed gluings over the 2n rotations, and the 2n reflections s -> c - s if asked.
 
-    One search per class of equal fixed counts, weighted by the class size:
-    rotations by d with the same gcd(d, 2n) generate the same group, and a
-    rotation by e conjugates the reflection at c into the one at c + 2e.
-    The identity (None) reads the cached identity tree that rooted counts share.
+    One search per class of _symmetry_classes, weighted by the class size;
+    the sizes add up to the order of the group.
     """
     full_mode = not surface.orientable
     _check_limit(n, full_mode, max_edges)
-    two_n = 2 * n
-    rotations = Counter(math.gcd(d, two_n) for d in range(1, two_n))
-    classes = [(1, None)] + [(size, [(s + step) % two_n for s in range(two_n)]) for step, size in rotations.items()]
-    if with_reflections:
-        classes += [(n, [(c - s) % two_n for s in range(two_n)]) for c in (0, 1)]
-    order = 4 * n if with_reflections else two_n
-    fixed_total = sum(size * _tally(_histogram(n, full_mode, degrees, symmetry), surface) for size, symmetry in classes)
+    frozen = None if degrees is None else frozenset(degrees)
+    classes = [c for c in _symmetry_classes(n) if with_reflections or c[0] != "reflection"]
+    fixed_total = sum(size * _tally(_histogram(n, full_mode, frozen, sym), surface) for _, size, sym in classes)
+    order = sum(size for _, size, _ in classes)
     return exact_quotient(fixed_total, order, f"Burnside sum over a group of order {order}")
 
 
@@ -458,5 +475,5 @@ def count_precubic(
     cubic_vertices, remainder = divmod(2 * n - leaves, 3)
     if remainder != 0 or cubic_vertices < 0:
         return 0
-    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}))
+    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}), None)
     return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices)]

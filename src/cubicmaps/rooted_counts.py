@@ -27,34 +27,11 @@ other key one leaf at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Tuple
 
 from .exactnum import exact_quotient, factorial
-
-
-# ============================================================
-# Surfaces
-# ============================================================
-
-
-@dataclass(frozen=True)
-class SurfaceClass:
-    """A closed surface: orientable with `genus` handles, or not, with `genus` crosscaps."""
-
-    orientable: bool
-    genus: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0 (got {self.genus})")
-        if not self.orientable and self.genus < 1:
-            raise ValueError("a non-orientable surface needs at least one crosscap")
-
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus if self.orientable else 2 - self.genus
 
 
 # ============================================================

@@ -20,8 +20,8 @@ from cubicmaps.cli import (
     suite_specialization,
 )
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
-from cubicmaps.oracle import count_rooted, count_sensed_orientable, count_unsensed
-from cubicmaps.rooted_counts import SurfaceClass, precubic_nonorientable_by_genus_pair, rooted_cubic_orientable
+from cubicmaps.oracle import SurfaceClass, count_rooted, count_sensed_orientable, count_unsensed
+from cubicmaps.rooted_counts import precubic_nonorientable_by_genus_pair, rooted_cubic_orientable
 
 _CUBIC = frozenset({3})
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 
@@ -32,8 +32,8 @@ from cubicmaps.orbifolds import (
     epsilon_hl,
     solve_closed_orbifolds,
 )
+from cubicmaps.oracle import SurfaceClass
 from cubicmaps.rooted_counts import (
-    SurfaceClass,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -190,27 +190,20 @@ def test_walked_rotation_terms_match_one_precubic_count_per_summand(g: int) -> N
 def test_rotations_of_each_order_fix_2n_times_their_terms(surface: SurfaceClass) -> None:
     # Burnside one symmetry kind at a time, w = 2n on orientable surfaces (the
     # terms average over 2n rootings) and 4n on non-orientable ones. The
-    # gluings fixed by the rotations of order l, one search per gcd class
-    # weighted by its size, are w times the ("hl", l, ...) terms; an order with
-    # no key fixes nothing. The reflections s -> c - s, n for each parity of c,
-    # fix w times the two reflection terms (orientable) or the h2 terms.
+    # gluings fixed by each kind of the oracle's class list, one search per
+    # class weighted by its size, are w times its terms: the identity (kind 1)
+    # the rooted term, the rotations of order l the ("hl", l, ...) terms and
+    # the two reflection classes the reflection terms (orientable) or the h2
+    # terms. A kind with no key fixes nothing.
     g, orientable = surface.genus, surface.orientable
     n = 6 * g - 3 if orientable else 3 * g - 3
-    two_n = 2 * n
-    weight = two_n if orientable else 2 * two_n
-
-    def fixed_by(symmetry: List[int]) -> int:
-        return oracle._tally(oracle._histogram(n, not orientable, {3}, symmetry), surface)
-
+    weight = 2 * n if orientable else 4 * n
     fixed: Dict[object, int] = defaultdict(int)
-    for step, size in Counter(math.gcd(d, two_n) for d in range(1, two_n)).items():
-        fixed[two_n // step] += size * fixed_by([(s + step) % two_n for s in range(two_n)])
-    for c in (0, 1):
-        fixed["reflection"] += n * fixed_by([(c - s) % two_n for s in range(two_n)])
+    for kind, size, symmetry in oracle._symmetry_classes(n):
+        fixed[kind] += size * oracle._tally(oracle._histogram(n, not orientable, frozenset({3}), symmetry), surface)
     by_kind: Dict[object, Fraction] = defaultdict(Fraction)
     for key, num, den in (orientable_terms if orientable else nonorientable_terms)(g):
-        if key[0] != "rooted":
-            by_kind[key[1] if key[0] == "hl" else "reflection"] += Fraction(num, den)
+        by_kind[1 if key[0] == "rooted" else key[1] if key[0] == "hl" else "reflection"] += Fraction(num, den)
     assert set(by_kind) <= set(fixed)
     assert fixed == {kind: weight * by_kind[kind] for kind in fixed}
 

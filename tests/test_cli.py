@@ -473,7 +473,8 @@ def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> 
 def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
     rows = list(golden.CLOSED_ORBIFOLD_ROWS)
     rows[1] = (3, 3, 1, 0, 1, 5)
-    extra = [*golden.CLOSED_ORBIFOLD_ROWS, (9, 2, 1, 1, 0, 2)]
+    # the table sets the genus range, so the extra row sits inside it and sorts last
+    extra = [*golden.CLOSED_ORBIFOLD_ROWS, (8, 14, 1, 1, 0, 13)]
     row = "closed signatures with nonzero epsilon, genus 2..8: got row (g, l, genus, ns, nv, epsilon): "
     corrupted = (
         (
@@ -483,7 +484,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
         ),
         ("CLOSED_ORBIFOLD_ROWS", rows, f"{row}(3, 3, 1, 0, 1, 4) != (3, 3, 1, 0, 1, 5), want all 24 rows reproduced"),
         # a frozen row that nothing computes is a mismatch too
-        ("CLOSED_ORBIFOLD_ROWS", extra, f"{row}None != (9, 2, 1, 1, 0, 2), want all 24 rows reproduced"),
+        ("CLOSED_ORBIFOLD_ROWS", extra, f"{row}None != (8, 14, 1, 1, 0, 13), want all 25 rows reproduced"),
     )
     for name, table, first_failure in corrupted:
         with monkeypatch.context() as patch:
@@ -492,6 +493,16 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
         assert code == 1
         assert "table-reproduction: FAIL" in out
         assert out.splitlines()[-1].startswith(f"FIRST FAILURE: {first_failure}")
+
+
+def test_the_table_suite_takes_its_genus_ranges_and_sizes_from_the_tables(monkeypatch) -> None:
+    monkeypatch.setattr(cli, "CUBIC_NONORIENTABLE", {g: golden.CUBIC_NONORIENTABLE[g] for g in range(3, 6)})
+    monkeypatch.setattr(cli, "CLOSED_ORBIFOLD_ROWS", [row for row in golden.CLOSED_ORBIFOLD_ROWS if row[0] <= 4])
+    assert [(c.label, c.got, c.passed) for c in cli.suite_tables()] == [
+        ("orientable census values, genus 1..10", "all 30 values reproduced", True),
+        ("non-orientable census values, genus 3..5", "all 6 values reproduced", True),
+        ("closed signatures with nonzero epsilon, genus 2..4", "all 6 rows reproduced", True),
+    ]
 
 
 @pytest.mark.parametrize(

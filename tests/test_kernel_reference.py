@@ -23,6 +23,7 @@ import pytest
 from cubicmaps.census import (
     h2_term_nonorientable,
     hl_term_nonorientable,
+    nonorientable_census_row,
     orientable_census_row,
     orientable_terms,
     sensed_cubic_orientable,
@@ -239,8 +240,12 @@ def test_orientable_terms_match_literal_parts(g: int) -> None:
 
 @pytest.mark.parametrize("g", [g for g in GENERA if g >= 2])
 def test_nonorientable_terms_match_literal_sums(g: int) -> None:
-    assert h2_term_nonorientable(g) == reference_h2_term(g)
-    assert hl_term_nonorientable(g) == reference_hl_term(g)
+    h2, hl = reference_h2_term(g), reference_hl_term(g)
+    assert h2_term_nonorientable(g) == h2
+    assert hl_term_nonorientable(g) == hl
+    # the literal total: the rooted count averaged over its 4(3g-3) rootings plus both correction sums
+    rooted = Fraction(reference_rooted_cubic_nonorientable(g), 4 * (3 * g - 3))
+    assert nonorientable_census_row(g).unsensed == rooted + h2 + hl
 
 
 @pytest.mark.parametrize("g", GENERA)

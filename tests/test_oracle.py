@@ -14,13 +14,13 @@ from cubicmaps.oracle import (
     EnumerationLimitError,
     MapInvariants,
     PolygonGluing,
+    SurfaceClass,
     classify,
     count_precubic,
     count_rooted,
     count_sensed_orientable,
     count_unsensed,
 )
-from cubicmaps.rooted_counts import SurfaceClass
 
 _CUBIC = frozenset({3})
 
@@ -290,39 +290,48 @@ def _precubic_queries():
 
 def test_shared_identity_search_is_order_independent() -> None:
     queries = _precubic_queries()
-    oracle._identity_histogram.cache_clear()
+    oracle._histogram.cache_clear()
     forward = [count_precubic(n, surface, k, max_edges=7) for n, surface, k in queries]
-    oracle._identity_histogram.cache_clear()
+    oracle._histogram.cache_clear()
     backward = [count_precubic(n, surface, k, max_edges=7) for n, surface, k in reversed(queries)]
     assert forward == backward[::-1]
     assert sum(forward) > 0
 
 
 def test_rooted_and_burnside_identity_walk_one_tree() -> None:
-    oracle._identity_histogram.cache_clear()
+    # the unsensed count reads the rooted count's identity tree and searches its 7 other classes of the 12-gon
+    oracle._histogram.cache_clear()
     surface = SurfaceClass(False, 3)
     assert count_rooted(6, surface, _CUBIC) == 128
     assert count_unsensed(6, surface, _CUBIC) == 11
-    info = oracle._identity_histogram.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    info = oracle._histogram.cache_info()
+    assert (info.misses, info.hits) == (8, 1)
 
 
 @pytest.mark.parametrize("max_f, trees", [(6, 14), (8, 16)])
 def test_the_queries_of_one_identity_tree_arrive_together(monkeypatch, max_f: int, trees: int) -> None:
-    # the 16-entry identity cache costs no re-walk only while each tree's queries are consecutive
-    cached = oracle._identity_histogram
+    # the 16-entry cache costs no re-walk of an identity tree only while each tree's queries are consecutive;
+    # the sensed and unsensed counts of one n share their rotation searches, 24 in all (32 without), since
+    # both limits reach the cubic non-orientable n = 3 and 6 only
+    cached = oracle._histogram
     keys = []
+    misses = Counter()
 
     def recording(*key):
-        keys.append(key)
-        return cached(*key)
+        before = cached.cache_info().misses
+        result = cached(*key)
+        identity = key[3] is None
+        misses[identity] += cached.cache_info().misses - before
+        if identity:
+            keys.append(key)
+        return result
 
     cached.cache_clear()
-    monkeypatch.setattr(oracle, "_identity_histogram", recording)
+    monkeypatch.setattr(oracle, "_histogram", recording)
     cli.suite_oracle_equivalence(9, max_f)
     runs = [key for key, _ in itertools.groupby(keys)]
     assert len(runs) == len(set(runs)) == trees
-    assert cached.cache_info().misses == trees
+    assert misses == {True: trees, False: 24}
 
 
 def test_limit_holds_on_a_warm_cache() -> None:
@@ -375,6 +384,8 @@ def test_class_weighted_burnside_matches_per_element_burnside(degrees) -> None:
 
 @pytest.mark.parametrize("n", [6, 9])
 def test_burnside_searches_once_per_symmetry_class(monkeypatch, n) -> None:
+    # a sensed count searches one rotation class per divisor of 2n but 2n; the unsensed count after it
+    # reads those from the cache and searches only the two reflection classes
     symmetric_searches = []
     search = oracle._count_search
 
@@ -383,10 +394,11 @@ def test_burnside_searches_once_per_symmetry_class(monkeypatch, n) -> None:
             symmetric_searches.append(symmetry)
         return search(n, allow_twists, degrees, symmetry)
 
+    oracle._histogram.cache_clear()
     monkeypatch.setattr(oracle, "_count_search", counting_search)
     divisors = sum(1 for d in range(1, 2 * n + 1) if 2 * n % d == 0)
     count_sensed_orientable(n, 2, _CUBIC)
     assert len(symmetric_searches) == divisors - 1
     symmetric_searches.clear()
     count_unsensed(n, SurfaceClass(True, 2), _CUBIC)
-    assert len(symmetric_searches) == divisors + 1
+    assert len(symmetric_searches) == 2

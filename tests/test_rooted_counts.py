@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cubicmaps.golden import CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
+from cubicmaps.oracle import SurfaceClass
 from cubicmaps.rooted_counts import (
-    SurfaceClass,
     c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
