@@ -27,6 +27,7 @@ exact rationals, reduced once as a Fraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from math import comb, gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .exactnum import exact_quotient
-from .orbifolds import epsilon_h2_nonorientable, epsilon_h2_orientable, solve_closed_orbifolds
+from .orbifolds import _contributing_signatures, epsilon_h2_nonorientable, epsilon_h2_orientable
 from .rooted_counts import (
     _nonorientable_walk,
     _orientable_period_two,
@@ -173,6 +174,20 @@ def unsensed_cubic_orientable(g: int) -> int:
 # ============================================================
 
 
+def _nonorientable_keys(g: int) -> Iterator[tuple]:
+    """The keys of the non-orientable walk, in (gg, k) order, for gg = 1..g//2.
+
+    Each gg gives its contributing signatures (gg, k, l, n_s, n_v, epsilon)
+    in (k, l) order, as orbifolds streams them, with the period-2 key
+    (gg, g-2gg) placed ahead of those with k >= g-2gg.
+    """
+    signatures = _contributing_signatures(g)
+    for gg in range(1, g // 2 + 1):
+        keys = next(signatures, [])
+        keys.insert(bisect_left(keys, (gg, g - 2 * gg)), (gg, g - 2 * gg))
+        yield from keys
+
+
 def nonorientable_terms(g: int) -> Iterator[Term]:
     """The named exact terms of the non-orientable genus-g census, as (key, numerator, denominator).
 
@@ -183,19 +198,20 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
                                  (Riemann-Hurwitz); half its epsilon times its precubic
                                  quotient count with r leaves;
       ("hl", l, gg, n_s, n_v)    one per signature of solve_closed_orbifolds(g) with nonzero
-                                 epsilon: a quarter of epsilon * C(n_s+n_v, n_s) * (precubic
-                                 count with n_s+n_v leaves), divided by 3g-3 + l*n_s/2, that
-                                 is over the denominator 2(6g-6 + l*n_s).
+                                 epsilon, streamed without the others: a quarter of
+                                 epsilon * C(n_s+n_v, n_s) * (precubic count with n_s+n_v
+                                 leaves), divided by 3g-3 + l*n_s/2, that is over the
+                                 denominator 2(6g-6 + l*n_s).
     Each term is exact but rational; only the whole sum is an integer.
 
     Every quotient count comes from a chain of exact small-ratio steps in
     rooted_counts: the orientable period-2 quotients (gg, k = g-4gg) from
     _orientable_period_two, and every non-orientable quotient count,
     period-2 (gg, g-2gg) or closed signature (gg, n_s+n_v), from
-    _nonorientable_walk over those keys in (gg, k) order; a stable sort
-    keeps the period-2 term of a key before its signatures, and those in
-    the solver's order of l. Each term is yielded as soon as its count is
-    known.
+    _nonorientable_walk over the keys of _nonorientable_keys in (gg, k)
+    order: the period-2 term of a key comes before its signatures, and those
+    in rising l. No key list is built; the signatures are read one crosscap
+    count at a time, and each term is yielded as soon as its count is known.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
@@ -206,14 +222,12 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
     for gg, quotients in enumerate(_orientable_period_two(g)):
         yield ("h2", True, gg, g - 4 * gg), epsilon_h2_orientable(gg, g - 4 * gg) * quotients, 2
-    walk = [(gg, g - 2 * gg, None) for gg in range(1, g // 2 + 1)]
-    walk += ((s.genus, s.n_s + s.n_v, s) for s in solve_closed_orbifolds(g) if s.epsilon)
-    walk.sort(key=lambda entry: entry[:2])
-    for (gg, k, signature), value in zip(walk, _nonorientable_walk(g, (entry[:2] for entry in walk))):
-        if signature is None:
+    for key, value in _nonorientable_walk(g, _nonorientable_keys(g)):
+        if len(key) == 2:
+            gg, k = key
             yield ("h2", False, gg, k), epsilon_h2_nonorientable(gg, k) * value, 2
         else:
-            l, _, n_s, n_v, eps = signature
+            gg, k, l, n_s, n_v, eps = key
             yield ("hl", l, gg, n_s, n_v), eps * comb(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
 
 

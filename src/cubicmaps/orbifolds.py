@@ -15,8 +15,9 @@ quotient map on an orbifold. Two families matter here:
 Each admissible signature carries a coefficient epsilon: the number of
 order-preserving epimorphisms from the orbifold fundamental group onto the
 cyclic group Z_l minus the orientation-and-order-preserving ones. The solver
-below lists the closed signatures for a given genus; the census, the
-`orbifolds` command and `verify` all read that one list. The epi_*
+below lists the closed signatures for a given genus, which the `orbifolds`
+command and `verify` read; the census reads only those with nonzero epsilon,
+streamed in its walk order from the same enumeration. The epi_*
 operations implement the general closed forms (Jordan-totient expressions)
 that the epsilon shortcuts specialize; the test suite holds the two routes
 together.
@@ -28,7 +29,7 @@ builds it, so it carries no constructor checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
 
@@ -86,6 +87,26 @@ class SignatureSolution(NamedTuple):
         return [2] * self.n_s + [3] * self.n_v + [self.l]
 
 
+def _periods(g: int) -> List[int]:
+    """The periods l >= 2 of the genus-g signatures: divisors of 6g-6 up to 2g-2 (even g) or 2g (odd g)."""
+    bound = 2 * g - 2 if g % 2 == 0 else 2 * g
+    return [l for l in range(2, bound + 1) if (6 * g - 6) % l == 0]
+
+
+def _branch_points(g: int, l: int, gg: int) -> Iterator[Tuple[int, int]]:
+    """(n_s, n_v) of each genus-g signature of period l with gg crosscaps, n_v falling, n_s rising.
+
+    Solves 3 n_s + 4 n_v = rest = (6g-6)/l - 6gg + 6 >= 0 (Riemann-Hurwitz)
+    with n_s > 0 only for even l and n_v > 0 only for l divisible by 3.
+    """
+    rest = (6 * g - 6) // l - 6 * gg + 6
+    # 4 n_v = rest - 3 n_s forces n_v = rest (mod 3); n_v > 0 needs 3 | l
+    for n_v in reversed(range(rest % 3, (rest // 4 if l % 3 == 0 else 0) + 1, 3)):
+        n_s = (rest - 4 * n_v) // 3
+        if n_s == 0 or l % 2 == 0:
+            yield n_s, n_v
+
+
 def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
     """All closed-orbifold signatures for period-l symmetries, l >= 2, of genus g.
 
@@ -98,19 +119,42 @@ def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
     if g < 2:
         return []
     out: List[SignatureSolution] = []
-    bound = 2 * g - 2 if g % 2 == 0 else 2 * g
-    for l in range(2, bound + 1):
-        if (6 * g - 6) % l != 0:
-            continue
+    for l in _periods(g):
         # gg <= (g + l - 1) / l keeps rest >= 0
         for gg in range(1, (g + l - 1) // l + 1):
-            rest = (6 * g - 6) // l - 6 * gg + 6
-            # 4 n_v = rest - 3 n_s forces n_v = rest (mod 3); n_v > 0 needs 3 | l
-            for n_v in reversed(range(rest % 3, (rest // 4 if l % 3 == 0 else 0) + 1, 3)):
-                n_s = (rest - 4 * n_v) // 3
-                if n_s == 0 or l % 2 == 0:
-                    out.append(SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
+            for n_s, n_v in _branch_points(g, l, gg):
+                out.append(SignatureSolution(l, gg, n_s, n_v, epsilon_hl(l, gg, n_s, n_v)))
     return out
+
+
+def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, int, int]]]:
+    """The genus-g signatures with nonzero epsilon, one list per gg = 1, 2, ..., in the census's walk order.
+
+    Each list holds (gg, k, l, n_s, n_v, epsilon) with k = n_s+n_v, sorted
+    by (k, l): the signatures of solve_closed_orbifolds(g) with nonzero
+    epsilon, with no record built and no epsilon_hl call for the others.
+    Whole periods are decided at once: with q = (6g-6)/l, n_s = rest = q
+    (mod 2), and l/3 is even whenever 6 | l, so epsilon_hl's parity test
+    reads (l/2) q + 1. An odd period always contributes (with n_s = 0), an
+    even one exactly when l = 2 (mod 4) and q is odd; at odd g, where
+    4 | 6g-6, no even period does. So no contributing signature has more
+    than g//2 crosscaps (odd l >= 3; even l only at even g). The stream stops
+    after the last gg that any contributing period reaches.
+    """
+    # rising l, so the periods that reach gg, those with (g+l-1)//l >= gg, are a prefix
+    periods = [l for l in _periods(g) if l % 2 or (l % 4 == 2 and (6 * g - 6) // l % 2)]
+    for gg in range(1, g // 2 + 1):
+        while periods and (g + periods[-1] - 1) // periods[-1] < gg:
+            periods.pop()
+        if not periods:
+            return
+        found = [
+            (gg, n_s + n_v, l, n_s, n_v, epsilon_hl(l, gg, n_s, n_v))
+            for l in periods
+            for n_s, n_v in _branch_points(g, l, gg)
+        ]
+        found.sort()
+        yield found
 
 
 def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> int:
@@ -122,7 +166,9 @@ def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> int:
     """
     if l < 2 or gg < 1 or n_s < 0 or n_v < 0:
         raise ValueError("epsilon_hl arguments out of range")
-    # The parity test is decided first: about half of the solver's signatures fail it.
+    # The parity test is decided first. Over the signatures of one genus g it depends on the
+    # period only: at odd g every even period fails it, at even g those with l = 0 (mod 4)
+    # or (6g-6)/l even (see _contributing_signatures).
     if l % 2 == 0 and ((l // 2) * n_s + (l // 3) * n_v + 1) % 2 != 0:
         return 0
     base = l ** (gg - 1) * euler_phi(l) * 2 ** n_v

@@ -223,31 +223,38 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
             yield 6, gg, top - 4 * gg, n_v, value
 
 
-def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int]:
-    """The non-orientable precubic count at each key (gg, k) the genus-g census reads, in order.
+def _nonorientable_walk(g: int, keys: Iterable[tuple]) -> Iterator[Tuple[tuple, int]]:
+    """Each key (gg, k, ...) the genus-g census reads, with the non-orientable precubic count at (gg, k), in order.
 
     The keys come in (gg, k) order, repeats allowed, and include every
-    period-2 key (gg, g-2gg), gg = 1..g//2. Those form two chains in h, one
-    per parity of gg, stepped two crosscaps at a time. Odd gg = 2h+1 starts at
-    gg = 1 from 4^{g-2} (the formal value 1 at the edgeless (1, 0) when g = 2);
-    even gg = 2h starts at gg = 2 from the public count and carries N_h of
-    c_coefficient by N_{h+1} = 16 N_h + C(2h, h). With h and k = g-2gg+4
-    those of gg-2, the ratios are k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) (odd)
-    and N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
+    period-2 key (gg, g-2gg), gg = 1..g//2; fields after (gg, k) ride along.
+    The period-2 keys form two chains in h, one per parity of gg, stepped two
+    crosscaps at a time. Odd gg = 2h+1 starts at gg = 1 from 4^{g-2} (the
+    formal value 1 at the edgeless (1, 0) when g = 2); even gg = 2h starts at
+    gg = 2 from the public count and carries N_h of c_coefficient by
+    N_{h+1} = 16 N_h + C(2h, h), one step at the first key of each even gg.
+    With h and k = g-2gg+4 those of gg-2, the ratios are
+    k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) (odd) and
+    N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
 
     Any other key repeating the last key reuses its count, one leaf past it
     on the same surface steps that count (from k to k+1 leaves by
     4(k+1+3h) / (k+1) for odd gg = 2h+1, (2k+6h-1)(2k+6h-2) / ((k+1)(k+3h-1))
-    for even gg = 2h), and otherwise starts a new chain from the public count.
-    Every step is a big-by-small product and an exact division, so a wrong
-    ratio raises.
+    for even gg = 2h), and otherwise starts a new chain from the closed form:
+    the public count at odd gg, and at even gg = 2h the form with c_h written
+    through the chain's N_h, 2 h! N_h (2k+6h-3)! / (12^{h-1} (2h)! k! (k+3h-2)!),
+    so no start recomputes c_coefficient. Every step and start is one exact
+    division, so a wrong ratio raises.
     """
+    context = f"precubic non-orientable count walked for the genus-{g} census"
     counts = [0, 0]  # the count at the last period-2 key of each parity of gg
-    partial = 1  # N_h of the even chain's last key: N_1 = 1 at gg = 2
-    live, value = None, 0
-    for gg, k in keys:
-        context = f"precubic non-orientable count at (gg={gg}, k={k})"
-        if (gg, k) == live:
+    previous, partial, level = 0, 1, 1  # N_{h-1} and N_h of the even chain, h = level: N_1 = 1 serves gg = 2
+    live_gg, live_k, value = 0, 0, 0
+    for key in keys:
+        gg, k = key[0], key[1]
+        if gg % 2 == 0 and level < gg // 2:  # the first key at gg = 2h moves the chain on to N_h
+            previous, partial, level = partial, 16 * partial + comb(2 * level, level), level + 1
+        if k == live_k and gg == live_gg:
             pass
         elif 2 * gg + k == g:
             # h and k(k-1)(k-2)(k-3) of the chain's previous key: gg-2 crosscaps, k+4 leaves
@@ -259,19 +266,23 @@ def _nonorientable_walk(g: int, keys: Iterable[Tuple[int, int]]) -> Iterator[int
             elif gg % 2:
                 counts[1] = exact_quotient(counts[1] * falling, 12 * (h + 1) * (g - h - 2), context)
             else:
-                stepped = 16 * partial + comb(2 * h, h)
-                num = counts[0] * (stepped * falling * (g - h - 2))
-                den = 24 * (2 * h + 1) * partial * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4)
-                counts[0], partial = exact_quotient(num, den, context), stepped
+                num = counts[0] * (partial * falling * (g - h - 2))
+                den = 24 * (2 * h + 1) * previous * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4)
+                counts[0] = exact_quotient(num, den, context)
             value = counts[gg % 2]
-        elif live == (gg, k - 1):
+        elif k == live_k + 1 and gg == live_gg:
             h = gg // 2
             if gg % 2 == 0:
                 num, den = (2 * k + 6 * h - 3) * (2 * k + 6 * h - 4), k * (k + 3 * h - 2)
             else:
                 num, den = 4 * (k + 3 * h), k
             value = exact_quotient(value * num, den, context)
-        else:
+        elif gg % 2:
             value = precubic_nonorientable_by_leaves(gg, k)
-        live = (gg, k)
-        yield value
+        else:
+            h = gg // 2
+            num = 2 * factorial(h) * partial * factorial(2 * k + 6 * h - 3)
+            den = 12 ** (h - 1) * factorial(2 * h) * factorial(k) * factorial(k + 3 * h - 2)
+            value = exact_quotient(num, den, context)
+        live_gg, live_k = gg, k
+        yield key, value

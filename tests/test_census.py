@@ -34,6 +34,7 @@ from cubicmaps.orbifolds import (
 )
 from cubicmaps.oracle import SurfaceClass
 from cubicmaps.rooted_counts import (
+    c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -228,7 +229,7 @@ def test_a_count_gets_its_rows_checks(monkeypatch, name: str, count, rooted, fac
 def walked_period_two_values(monkeypatch, g: int) -> Dict[int, int]:
     """The non-orientable period-2 quotient counts the walk reads at genus g, by crosscaps."""
     # The two parity chains in h never read a signature, so the walk runs without them.
-    monkeypatch.setattr(census, "solve_closed_orbifolds", lambda g: [])
+    monkeypatch.setattr(census, "_contributing_signatures", lambda g: iter(()))
     return {
         key[2]: exact_quotient(num, epsilon_h2_nonorientable(key[2], key[3]))
         for key, num, _ in nonorientable_terms(g)
@@ -278,6 +279,37 @@ def test_period_two_keys_start_from_the_closed_form_only_at_two_crosscaps(monkey
     assert [gg for gg, k in calls if 2 * gg + k == g] == ([2] if g >= 4 else [])
 
 
+@pytest.mark.parametrize("g", [3, 4, 16, 100])
+def test_the_walked_terms_come_in_walk_order(g: int) -> None:
+    # after the rooted and orientable period-2 terms: (gg, k) never falls, the
+    # period-2 term of a key comes before its signatures, and those in rising l;
+    # a signature shares its key with a period-2 term at g = 3, 4, with another
+    # signature at g = 16, 100
+    order = [
+        (key[2], key[3], 0) if key[0] == "h2" else (key[2], key[3] + key[4], key[1])
+        for key, _, _ in nonorientable_terms(g)
+        if key[0] == "hl" or key[:2] == ("h2", False)
+    ]
+    assert order == sorted(order)
+    assert len({entry[:2] for entry in order}) < len(order)  # some key is shared
+
+
+@pytest.mark.parametrize("g", [200, 1162])
+def test_the_walk_takes_even_starts_from_its_chain(monkeypatch, g: int) -> None:
+    # c_h is read from the even chain's N_h: only the rooted count and the
+    # chain's start at gg = 2 evaluate c_coefficient (52 and 446 calls when
+    # every even-crosscap start recomputed it)
+    calls = []
+
+    def counted(h: int) -> Fraction:
+        calls.append(h)
+        return c_coefficient(h)
+
+    monkeypatch.setattr(rooted_counts, "c_coefficient", counted)
+    list(nonorientable_terms(g))
+    assert sorted(calls) == [1, g // 2]
+
+
 def test_signature_terms_are_the_closed_orbifold_rows() -> None:
     keys = [(g,) + key[1:] for g in range(2, 9) for key, _, _ in nonorientable_terms(g) if key[0] == "hl"]
     assert sorted(keys) == [row[:5] for row in CLOSED_ORBIFOLD_ROWS]
@@ -323,6 +355,18 @@ def test_an_orientable_count_streams_its_rotation_terms() -> None:
     tracemalloc.start()
     try:
         census.unsensed_cubic_orientable(400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_a_nonorientable_count_streams_its_signatures() -> None:
+    # at genus 600 a count that lists every signature and sorts the walk peaks at 0.9 MB
+    # (10.7 MB at genus 2000); streamed one crosscap count at a time, at 0.2 MB
+    tracemalloc.start()
+    try:
+        census.unsensed_cubic_nonorientable(600)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

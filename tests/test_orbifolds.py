@@ -7,6 +7,7 @@ import pytest
 from cubicmaps.golden import CLOSED_ORBIFOLD_ROWS
 from cubicmaps.orbifolds import (
     SignatureSolution,
+    _contributing_signatures,
     epi_nonorientable_boundary,
     epi_nonorientable_closed,
     epi_orientable_boundary,
@@ -104,6 +105,21 @@ def test_solve_closed_orbifolds_matches_reference_loop(genera) -> None:
     for g in genera:
         got = [(s.l, s.genus, s.n_s, s.n_v, s.epsilon) for s in solve_closed_orbifolds(g)]
         assert got == reference_closed_signatures(g), g
+
+
+@pytest.mark.parametrize(
+    "genera",
+    [range(2, 301), range(1150, 1174), (1999, 2000)],
+    ids=["2..300", "1150..1173", "1999-2000"],
+)
+def test_the_stream_holds_exactly_the_contributing_signatures(genera) -> None:
+    # whole periods are skipped by the period rule, so the stream is held to
+    # the solver's signatures with nonzero epsilon, in (gg, k, l) order
+    for g in genera:
+        layers = list(_contributing_signatures(g))
+        assert all(entry[0] == gg for gg, layer in enumerate(layers, 1) for entry in layer), g
+        want = [(s.genus, s.n_s + s.n_v, s.l, s.n_s, s.n_v, s.epsilon) for s in solve_closed_orbifolds(g) if s.epsilon]
+        assert [entry for layer in layers for entry in layer] == sorted(want), g
 
 
 def test_epsilon_hl_cases() -> None:
