@@ -28,8 +28,7 @@ exact rationals, reduced once as a Fraction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
@@ -54,8 +53,7 @@ Term = Tuple[tuple, int, int]
 # ============================================================
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(namedtuple("CensusRow", "genus rooted sensed unsensed")):
     """Counts for one genus: rooted, sensed (orientable rows only), unsensed.
 
     A row with `sensed` present is an orientable-surface row (edge count
@@ -65,27 +63,35 @@ class CensusRow:
     and for orientable rows rooted/(2n) <= sensed <= rooted as well.
     """
 
+    __slots__ = ()
+
     genus: int
     rooted: int
     sensed: Optional[int]
     unsensed: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1 (got {self.genus})")
-        if self.sensed is None and self.genus < 2:
-            raise ValueError(f"non-orientable census needs g >= 2 (got {self.genus})")
-        if min(self.rooted, self.unsensed) < 0 or (self.sensed is not None and self.sensed < 0):
+    def __new__(cls, genus: int, rooted: int, sensed: Optional[int], unsensed: int) -> CensusRow:
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1 (got {genus})")
+        if sensed is None and genus < 2:
+            raise ValueError(f"non-orientable census needs g >= 2 (got {genus})")
+        if min(rooted, unsensed) < 0 or (sensed is not None and sensed < 0):
             raise ValueError("counts must be nonnegative")
-        if self.sensed is not None and not (self.unsensed <= self.sensed <= self.rooted):
-            raise ValueError(f"expected unsensed <= sensed <= rooted at g={self.genus}")
-        if self.unsensed > self.rooted:
-            raise ValueError(f"expected unsensed <= rooted at g={self.genus}")
-        n = 6 * self.genus - 3 if self.sensed is not None else 3 * self.genus - 3
-        if self.rooted > 4 * n * self.unsensed:
-            raise ValueError(f"rooted count exceeds 4n rootings per unsensed map at g={self.genus}")
-        if self.sensed is not None and self.rooted > 2 * n * self.sensed:
-            raise ValueError(f"rooted count exceeds 2n rootings per sensed map at g={self.genus}")
+        if sensed is not None and not (unsensed <= sensed <= rooted):
+            raise ValueError(f"expected unsensed <= sensed <= rooted at g={genus}")
+        if unsensed > rooted:
+            raise ValueError(f"expected unsensed <= rooted at g={genus}")
+        n = 6 * genus - 3 if sensed is not None else 3 * genus - 3
+        if rooted > 4 * n * unsensed:
+            raise ValueError(f"rooted count exceeds 4n rootings per unsensed map at g={genus}")
+        if sensed is not None and rooted > 2 * n * sensed:
+            raise ValueError(f"rooted count exceeds 2n rootings per sensed map at g={genus}")
+        return super().__new__(cls, genus, rooted, sensed, unsensed)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Optional[int]]) -> CensusRow:
+        # namedtuple's _make, and so _replace, would build the tuple without the checks above
+        return cls(*iterable)
 
 
 def _assemble(terms: Iterable[Term]) -> Tuple[int, int]:

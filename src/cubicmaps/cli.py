@@ -24,6 +24,11 @@ newline. `table` writes each row as soon as it is computed. Counts are
 printed in full at any size: Python's int-to-str digit limit is lifted while
 a command converts its counts to text, and restored afterwards. Exit codes:
 0 success, 1 verification failure, 2 usage error or unwritable output.
+
+Every request is a fresh process, so what it imports is part of its run
+time. `count`, `table` and `orbifolds` import only the census modules:
+`verify` imports the oracle and the golden tables where its suites read
+them, and `json` and `textwrap` are imported only where JSON is written.
 """
 
 from __future__ import annotations
@@ -31,13 +36,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
-import textwrap
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .census import (
     nonorientable_census_row,
@@ -45,16 +47,6 @@ from .census import (
     sensed_cubic_orientable,
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
-)
-from .golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
-from .oracle import (
-    DEFAULT_MAX_EDGES_FULL,
-    DEFAULT_MAX_EDGES_ORIENTABLE,
-    SurfaceClass,
-    count_precubic,
-    count_rooted,
-    count_sensed_orientable,
-    count_unsensed,
 )
 from .orbifolds import (
     epi_nonorientable_boundary,
@@ -79,7 +71,7 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 6.1 s at --max-edges-full 12 and 6.6 s at --max-edges-orientable 15.
+# takes about 3.8 s at --max-edges-full 12 and 4.5 s at --max-edges-orientable 15.
 MAX_EDGES_FULL = 12
 MAX_EDGES_ORIENTABLE = 15
 # The ranges of the census suites of `verify`.
@@ -132,6 +124,9 @@ def _render(fmt: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) 
             yield ",".join(row) + "\n"
         return
     if fmt == "json":
+        import json
+        import textwrap
+
         opening = "[\n"
         for row in rows:
             yield opening + textwrap.indent(json.dumps(dict(zip(headers, row)), indent=2), "  ")
@@ -221,8 +216,7 @@ def cmd_orbifolds(args: argparse.Namespace) -> int:
 # ============================================================
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One verified fact: what was computed (`got`), what it must equal (`want`), and whether it does."""
 
     label: str
@@ -262,9 +256,7 @@ def _first_mismatch(label: str, cases: Iterable[Tuple[str, object, object]], ok:
                 return f"{description}: {got} != {want}"
         return ok
 
-    check = _check(label, first, partial(str, ok))
-    check.label = label.format(made)
-    return check
+    return _check(label, first, partial(str, ok))._replace(label=label.format(made))
 
 
 def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
@@ -274,6 +266,8 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
     orientable surfaces first, with the k >= 0 leaves that the Euler relation
     n = 2k + 3 - 3 chi gives on a surface of Euler characteristic chi.
     """
+    from .oracle import SurfaceClass, count_precubic, count_rooted, count_sensed_orientable, count_unsensed
+
     cases: List[Tuple[str, Callable[[], int], Callable[[], int]]] = []
     for g in range(1, (max_o + 3) // 6 + 1):
         n, s, cubic = 6 * g - 3, SurfaceClass(True, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_o}
@@ -367,6 +361,8 @@ def suite_specialization() -> List[Check]:
 
 def suite_tables() -> List[Check]:
     """The frozen golden tables are reproduced value for value, over the genera each one holds."""
+    from .golden import CLOSED_ORBIFOLD_ROWS, CUBIC_NONORIENTABLE, CUBIC_ORIENTABLE
+
     signature_genera = range(min(CLOSED_ORBIFOLD_ROWS)[0], max(CLOSED_ORBIFOLD_ROWS)[0] + 1)
     return [
         _first_mismatch(
@@ -404,7 +400,10 @@ def suite_tables() -> List[Check]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_o, max_f = args.max_edges_orientable, args.max_edges_full
+    from .oracle import DEFAULT_MAX_EDGES_FULL, DEFAULT_MAX_EDGES_ORIENTABLE
+
+    max_o = DEFAULT_MAX_EDGES_ORIENTABLE if args.max_edges_orientable is None else args.max_edges_orientable
+    max_f = DEFAULT_MAX_EDGES_FULL if args.max_edges_full is None else args.max_edges_full
     if max_o < 3 or max_f < 3:
         # n = 3 is the smallest cubic map on either kind of surface
         return _usage_error("the oracle needs --max-edges-orientable >= 3 and --max-edges-full >= 3")
@@ -435,7 +434,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, run in runs:
         checks = run()
         status = "PASS" if all(c.passed for c in checks) else "FAIL"
-        suites.append({"name": name, "status": status, "checks": [asdict(c) for c in checks]})
+        suites.append({"name": name, "status": status, "checks": [c._asdict() for c in checks]})
         print(f"{name}: {status} ({len(checks)} {'check' if len(checks) == 1 else 'checks'})", flush=True)
         if first_failure is None:
             first_failure = next((c for c in checks if not c.passed), None)
@@ -447,6 +446,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "all_pass": first_failure is None,
             "suites": suites,
         }
+        import json
+
         try:
             with open(args.report, "w", encoding="utf-8") as out:
                 out.write(json.dumps(report, indent=2) + "\n")
@@ -491,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     orbifolds.set_defaults(handler=cmd_orbifolds)
 
     verify = sub.add_parser("verify", help="run the self-verification suites")
-    verify.add_argument("--max-edges-orientable", type=int, default=DEFAULT_MAX_EDGES_ORIENTABLE)
-    verify.add_argument("--max-edges-full", type=int, default=DEFAULT_MAX_EDGES_FULL)
+    verify.add_argument("--max-edges-orientable", type=int)
+    verify.add_argument("--max-edges-full", type=int)
     verify.add_argument("--report", metavar="FILE", default=None, help="write a JSON report to FILE")
     verify.set_defaults(handler=cmd_verify)
 

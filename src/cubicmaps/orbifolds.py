@@ -132,7 +132,8 @@ def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, 
 
     Each list holds (gg, k, l, n_s, n_v, epsilon) with k = n_s+n_v, sorted
     by (k, l): the signatures of solve_closed_orbifolds(g) with nonzero
-    epsilon, with no record built and no epsilon_hl call for the others.
+    epsilon, with no record built for the others and one epsilon_hl call
+    per contributing (l, gg).
     Whole periods are decided at once: with q = (6g-6)/l, n_s = rest = q
     (mod 2), and l/3 is even whenever 6 | l, so epsilon_hl's parity test
     reads (l/2) q + 1. An odd period always contributes (with n_s = 0), an
@@ -148,11 +149,12 @@ def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, 
             periods.pop()
         if not periods:
             return
-        found = [
-            (gg, n_s + n_v, l, n_s, n_v, epsilon_hl(l, gg, n_s, n_v))
-            for l in periods
-            for n_s, n_v in _branch_points(g, l, gg)
-        ]
+        found: List[Tuple[int, int, int, int, int, int]] = []
+        for l in periods:
+            # n_s = q (mod 2) throughout the period, and epsilon_hl reads n_s only through
+            # that parity and n_v only through the factor 2^{n_v}
+            epsilon = epsilon_hl(l, gg, (6 * g - 6) // l % 2, 0)
+            found.extend((gg, n_s + n_v, l, n_s, n_v, epsilon << n_v) for n_s, n_v in _branch_points(g, l, gg))
         found.sort()
         yield found
 

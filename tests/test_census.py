@@ -61,6 +61,18 @@ def test_census_row_validation() -> None:
         CensusRow(1, 1, None, 1)
 
 
+def test_census_row_is_an_immutable_checked_tuple() -> None:
+    row = orientable_census_row(2)
+    assert row == CensusRow(2, 105, 9, 8) == (2, 105, 9, 8)
+    assert repr(row) == "CensusRow(genus=2, rooted=105, sensed=9, unsensed=8)"
+    with pytest.raises(AttributeError):
+        row.unsensed = 7
+    assert row._replace(unsensed=9) == (2, 105, 9, 9)
+    # a copy with new fields is checked like a new row
+    with pytest.raises(ValueError, match="expected unsensed <= sensed <= rooted"):
+        row._replace(unsensed=10)
+
+
 def test_orientable_rows_match_frozen_table() -> None:
     for g, (rooted, sensed, unsensed) in CUBIC_ORIENTABLE.items():
         row = orientable_census_row(g)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicmaps import cli, golden
+from cubicmaps import cli, golden, oracle
 from cubicmaps.census import nonorientable_census_row, orientable_census_row
 from cubicmaps.cli import main
 
@@ -224,6 +224,42 @@ def test_import_leaves_digit_limit_alone() -> None:
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
     assert (result.returncode, result.stdout) == (0, "True\n")
+
+
+def _modules_added(statements: str) -> set:
+    """The modules that `statements`, run in a fresh interpreter, add to those it starts with."""
+    code = f"import io, sys; before = set(sys.modules); {statements}; "
+    code += "print(*set(sys.modules) - before, file=sys.__stdout__)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+# what only `verify` or JSON output reads; a census request in text formats imports none of it
+DEFERRED_MODULES = {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses", "json", "textwrap"}
+
+
+@pytest.mark.parametrize(
+    "argv, deferred",
+    [
+        (("count", "--surface", "nonorientable", "--genus", "8", "--kind", "unsensed"), set()),
+        (("table", "--surface", "orientable", "--gmin", "1", "--gmax", "3", "--format", "csv"), set()),
+        (("table", "--surface", "nonorientable", "--gmin", "2", "--gmax", "4", "--format", "markdown"), set()),
+        (("orbifolds", "--genus", "8"), set()),
+        (("table", "--surface", "orientable", "--gmin", "1", "--gmax", "2", "--format", "json"), {"json", "textwrap"}),
+        (
+            ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3"),
+            {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses"},
+        ),
+    ],
+    ids=["count", "table-csv", "table-markdown", "orbifolds", "table-json", "verify"],
+)
+def test_a_request_imports_only_what_it_runs(argv, deferred) -> None:
+    statements = f"sys.stdout = io.StringIO(); import cubicmaps.cli; cubicmaps.cli.main({list(argv)!r})"
+    assert _modules_added(statements) & DEFERRED_MODULES == deferred
+
+
+def test_importing_the_package_imports_no_submodule() -> None:
+    assert {name for name in _modules_added("import cubicmaps") if name.startswith("cubicmaps.")} == set()
 
 
 def test_table_range_validation(capsys) -> None:
@@ -488,7 +524,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
     )
     for name, table, first_failure in corrupted:
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, table)
+            patch.setattr(golden, name, table)
             code, out, _ = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
         assert code == 1
         assert "table-reproduction: FAIL" in out
@@ -496,8 +532,8 @@ def test_verify_reports_first_failure(capsys, monkeypatch) -> None:
 
 
 def test_the_table_suite_takes_its_genus_ranges_and_sizes_from_the_tables(monkeypatch) -> None:
-    monkeypatch.setattr(cli, "CUBIC_NONORIENTABLE", {g: golden.CUBIC_NONORIENTABLE[g] for g in range(3, 6)})
-    monkeypatch.setattr(cli, "CLOSED_ORBIFOLD_ROWS", [row for row in golden.CLOSED_ORBIFOLD_ROWS if row[0] <= 4])
+    monkeypatch.setattr(golden, "CUBIC_NONORIENTABLE", {g: golden.CUBIC_NONORIENTABLE[g] for g in range(3, 6)})
+    monkeypatch.setattr(golden, "CLOSED_ORBIFOLD_ROWS", [row for row in golden.CLOSED_ORBIFOLD_ROWS if row[0] <= 4])
     assert [(c.label, c.got, c.passed) for c in cli.suite_tables()] == [
         ("orientable census values, genus 1..10", "all 30 values reproduced", True),
         ("non-orientable census values, genus 3..5", "all 6 values reproduced", True),
@@ -520,7 +556,8 @@ def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suit
     def broken(*args, **kwargs):
         raise ValueError("expected unsensed <= rooted at g=1")
 
-    monkeypatch.setattr(cli, name, broken)
+    # the oracle's searches are read from the oracle when the suite runs
+    monkeypatch.setattr(oracle if name == "count_sensed_orientable" else cli, name, broken)
     code, out, _ = _run(capsys, "verify", "--max-edges-orientable", "3", "--max-edges-full", "3")
     assert code == 1
     assert f"{suite}: FAIL" in out
@@ -612,12 +649,17 @@ def test_verify_rejects_limits_past_the_cap(capsys, flag, value) -> None:
     assert err == "error: the oracle caps --max-edges-orientable at 15 and --max-edges-full at 12\n"
 
 
-@pytest.mark.parametrize("max_o, max_f", [(15, 12), (9, 8)])
+@pytest.mark.parametrize("max_o, max_f", [(15, 12), (9, 8), (None, None)])
 def test_verify_accepts_limits_up_to_the_cap(capsys, monkeypatch, max_o, max_f) -> None:
     limits = []
     monkeypatch.setattr(cli, "suite_oracle_equivalence", lambda o, f: limits.append((o, f)) or [])
     for name in ("suite_integrality", "suite_specialization", "suite_tables"):
         monkeypatch.setattr(cli, name, lambda: [])
-    code, _, _ = _run(capsys, "verify", "--max-edges-orientable", str(max_o), "--max-edges-full", str(max_f))
+    flags = () if max_o is None else ("--max-edges-orientable", str(max_o), "--max-edges-full", str(max_f))
+    code, _, _ = _run(capsys, "verify", *flags)
     assert code == 0
+    if max_o is None:
+        # without flags, the oracle's defaults
+        max_o, max_f = oracle.DEFAULT_MAX_EDGES_ORIENTABLE, oracle.DEFAULT_MAX_EDGES_FULL
+        assert (max_o, max_f) == (9, 6)
     assert limits == [(max_o, max_f)]
