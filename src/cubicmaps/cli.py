@@ -39,11 +39,13 @@ import itertools
 import os
 import sys
 from functools import partial
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .census import (
     nonorientable_census_row,
+    nonorientable_terms,
     orientable_census_row,
+    orientable_terms,
     sensed_cubic_orientable,
     unsensed_cubic_nonorientable,
     unsensed_cubic_orientable,
@@ -71,7 +73,7 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 3.8 s at --max-edges-full 12 and 4.5 s at --max-edges-orientable 15.
+# takes about 4.0 s at --max-edges-full 12 and 4.5 s at --max-edges-orientable 15.
 MAX_EDGES_FULL = 12
 MAX_EDGES_ORIENTABLE = 15
 # The ranges of the census suites of `verify`.
@@ -262,13 +264,31 @@ def _first_mismatch(label: str, cases: Iterable[Tuple[str, object, object]], ok:
 def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
     """Every formula the oracle can reach within the limits, compared exactly.
 
-    Cubic counts first, then one precubic count per edge count n and surface,
-    orientable surfaces first, with the k >= 0 leaves that the Euler relation
+    Cubic counts first, each genus followed by its fixed counts by symmetry
+    kind, then one precubic count per edge count n and surface, orientable
+    surfaces first, with the k >= 0 leaves that the Euler relation
     n = 2k + 3 - 3 chi gives on a surface of Euler characteristic chi.
     """
-    from .oracle import SurfaceClass, count_precubic, count_rooted, count_sensed_orientable, count_unsensed
+    from fractions import Fraction
 
-    cases: List[Tuple[str, Callable[[], int], Callable[[], int]]] = []
+    from .oracle import SurfaceClass, _fixed_counts, count_precubic, count_rooted
+    from .oracle import count_sensed_orientable, count_unsensed
+
+    def by_kind(n: int, surface: SurfaceClass, terms: Iterable[tuple], max_edges: int) -> Iterator[tuple]:
+        # the gluings fixed by the symmetries of one kind are w times its census terms, w = 2n on orientable
+        # surfaces and 4n on non-orientable ones: the identity the rooted term, the rotations of order l the
+        # ("hl", l, ...) terms, the reflections the reflection or h2 terms; a kind missing on one side counts 0
+        fixed = _fixed_counts(n, surface, _CUBIC_DEGREES, max_edges)
+        weight = 2 * n if surface.orientable else 4 * n
+        want: Dict[object, Fraction] = {}
+        for key, num, den in terms:
+            kind = 1 if key[0] == "rooted" else key[1] if key[0] == "hl" else "reflection"
+            want[kind] = want.get(kind, 0) + weight * Fraction(num, den)
+        for kind in {**want, **fixed}:
+            symmetries = "reflections" if kind == "reflection" else f"rotations of order {kind}"
+            yield symmetries, fixed[kind], want.get(kind, 0)
+
+    checks: List[Callable[[], Check]] = []
     for g in range(1, (max_o + 3) // 6 + 1):
         n, s, cubic = 6 * g - 3, SurfaceClass(True, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_o}
         for count, search, form in (
@@ -276,14 +296,18 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             ("sensed", partial(count_sensed_orientable, n, g, **cubic), sensed_cubic_orientable),
             ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_orientable),
         ):
-            cases.append((f"cubic orientable genus {g} {count} (n={n})", search, partial(form, g)))
+            checks.append(partial(_check, f"cubic orientable genus {g} {count} (n={n})", search, partial(form, g)))
+        label = f"cubic orientable genus {g} fixed counts by symmetry kind (n={n}, {{}} kinds)"
+        checks.append(partial(_first_mismatch, label, by_kind(n, s, orientable_terms(g), max_o)))
     for g in range(2, (max_f + 3) // 3 + 1):
         n, s, cubic = 3 * g - 3, SurfaceClass(False, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_f}
         for count, search, form in (
             ("rooted", partial(count_rooted, n, s, **cubic), rooted_cubic_nonorientable),
             ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_nonorientable),
         ):
-            cases.append((f"cubic non-orientable genus {g} {count} (n={n})", search, partial(form, g)))
+            checks.append(partial(_check, f"cubic non-orientable genus {g} {count} (n={n})", search, partial(form, g)))
+        label = f"cubic non-orientable genus {g} fixed counts by symmetry kind (n={n}, {{}} kinds)"
+        checks.append(partial(_first_mismatch, label, by_kind(n, s, nonorientable_terms(g), max_f)))
     precubic_forms = (
         ("orientable", max_o, lambda gg, k: precubic_orientable(k + 4 * gg, gg)),
         ("non-orientable", max_f, precubic_nonorientable_by_leaves),
@@ -297,8 +321,9 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
                     break
                 if not odd:
                     search = partial(count_precubic, n, surface, k, max_edges=max_edges)
-                    cases.append((f"precubic {kind} genus {gg}, {n} edges, {k} leaves", search, partial(form, gg, k)))
-    return [_check(*case) for case in cases]
+                    label = f"precubic {kind} genus {gg}, {n} edges, {k} leaves"
+                    checks.append(partial(_check, label, search, partial(form, gg, k)))
+    return [check() for check in checks]
 
 
 def suite_integrality() -> List[Check]:

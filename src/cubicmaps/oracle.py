@@ -45,11 +45,9 @@ flanking side, and any other partner for either side adds a corner, so
 every completion glues those two sides to each other, with the one twist
 that joins the ends. After every placement the search glues that pair for
 each such path at once, as a forced move, and branches again only on the
-smallest unmatched side; a forced move drops no gluing. Counts fixed by a
-symmetry reuse the same search, forcing the whole symmetry orbit of every
-placed pair, branched or forced, at once.
+smallest unmatched side; a forced move drops no gluing.
 
-The search without a symmetry roots its tree at a pair of least gap. The
+The search roots its tree at a pair of least gap. The
 gap of a pair (a, b) is min(|a - b|, 2n - |a - b|). A gluing G has a least
 gap d(G) and a set S(G) of the sides that lie in pairs of gap d(G). A
 rotation re-roots the same map and keeps the invariants, d and |S|, so
@@ -66,17 +64,23 @@ per search, so a gluing adds weight * (ties / |S|) under its invariants, and
 each invariant's sum times 2n is divided by ties once, exactly. On the
 twisted n = 8, degrees {1, 3} tree the forced moves bring the glue calls
 from 913,646 to 48,867, the mirror to 24,365 and the least-gap root to
-7,463. Searches with a symmetry keep the full root: a rotation or the
-mirror moves the fixed set of a reflection onto that of another, and the
-symmetry searches force whole orbits and are small.
+7,463.
 
-A search returns the histogram of the invariants (orientable, genus,
-degrees) of the gluings it reaches. Each count sums the histogram entries on
-its surface, and a precubic count reads the one entry of its degree profile.
-A search depends only on (n, twist mode, degree set, symmetry), so one
-bounded cache serves every query: rooted, precubic and Burnside queries of
-one tree read the same histogram. A Burnside sum searches once per class of
-symmetries with equal fixed counts, weighted by the class size.
+Burnside's sum of |Fix(g)| over the symmetries g is the sum over the
+gluings of the number of symmetries fixing each. So a complete gluing adds
+its weight once for each symmetry fixing it, under (invariants, kind): kind
+1 is the identity, l > 1 the rotations of order l, "reflection" the
+reflections. Conjugation keeps a kind, so the least-gap and mirror weights
+hold for each. Side s reads as chr(2 * ((partner[s] - s) % 2n) + twist[s]):
+the rotations fixing G are those by the multiples of its word's least
+period, and s -> c - s fixes G iff its word is the word of its mirror image
+rotated by c. Fixing reflections, if any, are as many as fixing rotations.
+
+A search returns the histogram of (invariants, kind), the invariants being
+(orientable, genus, degrees). It depends only on (n, twist mode, degree
+set), so one bounded cache serves every query of one tree: rooted and
+precubic counts read kind 1, sensed counts every rotation and unsensed
+counts every kind.
 """
 
 from __future__ import annotations
@@ -150,8 +154,9 @@ class MapInvariants(SurfaceClass):
     degrees: Tuple[int, ...]
 
 
-# invariants -> number of gluings with them
-InvariantHistogram = Counter[MapInvariants]
+# (invariants, kind) -> number of (gluing, symmetry of that kind fixing it); kind 1 is the identity,
+# l > 1 the rotations of order l and "reflection" the reflections s -> c - s (see Search)
+InvariantHistogram = Counter[Tuple[MapInvariants, object]]
 
 
 class _PartialGluing:
@@ -230,17 +235,23 @@ def classify(gluing: PolygonGluing) -> MapInvariants:
 # ============================================================
 
 
-def _count_search(
-    n: int,
-    allow_twists: bool,
-    degrees: Optional[AbstractSet[int]],
-    symmetry: Optional[Sequence[int]] = None,
-) -> InvariantHistogram:
-    """Histogram of (orientable, genus, degrees) over the gluings of the 2n-gon, optionally fixed by a symmetry.
+def _stabilizer(partner: Sequence[int], twist: Sequence[bool]) -> List[object]:
+    """The kind of each symmetry of the 2n-gon that fixes a complete gluing, read from its words (see Search)."""
+    two_n = len(partner)
+    word = "".join([chr(2 * ((p - s) % two_n) + t) for s, (p, t) in enumerate(zip(partner, twist))])
+    period = (word + word).find(word, 1)
+    kinds: List[object] = [two_n // math.gcd(r, two_n) for r in range(0, two_n, period)]
+    mirror = "".join([chr(2 * ((-partner[-s] - s) % two_n) + twist[-s]) for s in range(two_n)])
+    if word in mirror + mirror:
+        kinds += ["reflection"] * len(kinds)
+    return kinds
+
+
+def _count_search(n: int, allow_twists: bool, degrees: Optional[AbstractSet[int]]) -> InvariantHistogram:
+    """Histogram of (invariants, kind) over the gluings of the 2n-gon and the symmetries fixing each.
 
     degrees is a pruning set: gluings with a vertex degree outside it are
-    not reached. symmetry is a side permutation; a reached gluing
-    must be fixed by it, twist bits carried unchanged.
+    not reached.
 
     After every placement, each open corner path of the largest allowed
     degree is closed at once. Each end x of such a path has one free
@@ -255,36 +266,20 @@ def _count_search(
     inner corner of a path uses one of each, so one end of a path starts its
     free side and the other ends it.
 
-    Without a symmetry the root branches only on 0~j for j <= n, and j is
-    the least gap: no pair below it is placed. A complete gluing adds its
-    mirror weight (2 for j < n, for its mirror under 0~2n-j; 1 for j = n)
-    times ties / |S| under its invariants, S the sides in pairs of gap j and
-    ties = lcm(1..2n), and each invariant then counts 2n / ties times its
-    sum, exactly (see Search).
-    With a symmetry the least gap is 1: every pair may be placed.
+    The root branches only on 0~j for j <= n, and j is the least gap: no
+    pair below it is placed. A complete gluing takes its mirror weight (2
+    for j < n, for its mirror under 0~2n-j; 1 for j = n) times ties / |S|,
+    S the sides in pairs of gap j and ties = lcm(1..2n), once for each
+    symmetry fixing it; each entry counts 2n / ties times its sum (see Search).
     """
     two_n = 2 * n
     state = _PartialGluing(n, degrees)
     partner, end, size, cycles, full = state.partner, state.end, state.size, state.degrees, state.full
     twist_options = (False, True) if allow_twists else (False,)
 
-    def place_orbit(i: int, j: int, twist: bool) -> bool:
-        # the pair and each image under the symmetry until the orbit returns to it
-        if not state.glue(i, j, twist):
-            return False
-        if symmetry is None:
-            return True
-        a, b = i, j
-        while True:
-            a, b = symmetry[a], symmetry[b]
-            if (a, b) in ((i, j), (j, i)):
-                return True
-            if not state.glue(a, b, twist):
-                return False
-
     def place(i: int, j: int, twist: bool) -> bool:
-        # the pair's orbit, then the forced pair of every path it filled, until none is left open
-        if not place_orbit(i, j, twist):
+        # the pair, then the forced pair of every path it filled, until none is left open
+        if not state.glue(i, j, twist):
             return False
         while full:
             x = full.pop()
@@ -295,19 +290,19 @@ def _count_search(
             y_side = y if partner[y] == -1 else y - 1
             twisted = (x_side == x) == (y_side == y)
             gap = (y_side - x_side) % two_n
-            if min(gap, two_n - gap) < least or not place_orbit(x_side % two_n, y_side % two_n, twisted):
+            if min(gap, two_n - gap) < least or not state.glue(x_side % two_n, y_side % two_n, twisted):
                 return False
         return True
 
     histogram: InvariantHistogram = Counter()
-    least = 1  # no pair has a smaller gap: without a symmetry, the gap j of the root pair 0~j
     ties = math.lcm(*range(1, two_n + 1))  # divisible by every |S| <= 2n
 
     def search(weight: int) -> None:
         if -1 not in partner:
-            if symmetry is None:
-                weight *= ties // sum((p - s) % two_n in (least, two_n - least) for s, p in enumerate(partner))
-            histogram[state.invariants()] += weight
+            weight *= ties // sum((p - s) % two_n in (least, two_n - least) for s, p in enumerate(partner))
+            invariants = state.invariants()
+            for kind in _stabilizer(partner, state.twist):
+                histogram[invariants, kind] += weight
             return
         first = partner.index(-1)
         saved_partner, saved_end, saved_size, closed = partner[:], end[:], size[:], len(cycles)
@@ -321,9 +316,6 @@ def _count_search(
                 del cycles[closed:]
                 full.clear()
 
-    if symmetry is not None:
-        search(1)
-        return histogram
     fresh = partner[:], end[:], size[:]
     for least in range(1, n + 1):
         for twist in twist_options:
@@ -333,24 +325,19 @@ def _count_search(
             cycles.clear()
             full.clear()
     return Counter(
-        {inv: exact_quotient(two_n * total, ties, "rooted identity count") for inv, total in histogram.items()}
+        {key: exact_quotient(two_n * total, ties, "Burnside fixed count") for key, total in histogram.items()}
     )
 
 
 @functools.lru_cache(maxsize=16)
-def _histogram(
-    n: int,
-    allow_twists: bool,
-    degrees: Optional[FrozenSet[int]],
-    symmetry: Optional[Tuple[int, ...]],
-) -> InvariantHistogram:
-    """The search of one key, cached; every caller passes all four arguments, hashable, and only reads the result.
+def _histogram(n: int, allow_twists: bool, degrees: Optional[FrozenSet[int]]) -> InvariantHistogram:
+    """The search of one key, cached; every caller passes all three arguments, hashable, and only reads the result.
 
-    `verify` asks for each identity tree's queries one after another (16
-    trees at --max-edges-full 8, 26 at the caps), so 16 entries bound the
-    memory and walk no identity tree twice.
+    `verify` asks for each tree's queries one after another (16 trees at
+    --max-edges-full 8, 26 at the caps), so 16 entries bound the memory and
+    walk no tree twice.
     """
-    return _count_search(n, allow_twists, degrees, symmetry)
+    return _count_search(n, allow_twists, degrees)
 
 
 # ============================================================
@@ -372,15 +359,22 @@ def _check_limit(n: int, full_mode: bool, max_edges: Optional[int]) -> None:
         )
 
 
-def _tally(histogram: InvariantHistogram, surface: SurfaceClass) -> int:
-    """The number of gluings in `histogram` on `surface`."""
+def _fixed_counts(
+    n: int,
+    surface: SurfaceClass,
+    degrees: Optional[AbstractSet[int]],
+    max_edges: Optional[int],
+) -> Counter[object]:
+    """kind -> the gluings on `surface` fixed by each symmetry of that kind, summed; kind 1 is the rooted count."""
     # No degree filter: the search checks each class as it closes, and a
     # complete gluing has every class closed, so all its degrees are in the set.
-    return sum(
-        count
-        for invariants, count in histogram.items()
-        if invariants.orientable == surface.orientable and invariants.genus == surface.genus
-    )
+    full_mode = not surface.orientable
+    _check_limit(n, full_mode, max_edges)
+    fixed: Counter[object] = Counter()
+    for (invariants, kind), count in _histogram(n, full_mode, None if degrees is None else frozenset(degrees)).items():
+        if invariants.orientable == surface.orientable and invariants.genus == surface.genus:
+            fixed[kind] += count
+    return fixed
 
 
 def count_rooted(
@@ -395,26 +389,7 @@ def count_rooted(
     only; non-orientable surfaces enumerate matchings with twist bits.
     With a `degrees` set, only maps whose vertex degrees all lie in it count.
     """
-    full_mode = not surface.orientable
-    _check_limit(n, full_mode, max_edges)
-    return _tally(_histogram(n, full_mode, None if degrees is None else frozenset(degrees), None), surface)
-
-
-def _symmetry_classes(n: int) -> List[Tuple[object, int, Optional[Tuple[int, ...]]]]:
-    """The symmetries of the 2n-gon in classes of equal fixed counts, as (kind, size, permutation).
-
-    Kind 1 is the identity, searched as None (the rooted tree). Kind l holds
-    the rotations of order l, by the d with gcd(d, 2n) = 2n / l, which
-    generate one group. Kind "reflection" is each parity class of the
-    reflections s -> c - s: a rotation by e turns c into c + 2e.
-    """
-    two_n = 2 * n
-    rotations = Counter(math.gcd(d, two_n) for d in range(1, two_n))
-    return (
-        [(1, 1, None)]
-        + [(two_n // step, size, tuple((s + step) % two_n for s in range(two_n))) for step, size in rotations.items()]
-        + [("reflection", n, tuple((c - s) % two_n for s in range(two_n))) for c in (0, 1)]
-    )
+    return _fixed_counts(n, surface, degrees, max_edges)[1]
 
 
 def _burnside(
@@ -424,18 +399,11 @@ def _burnside(
     max_edges: Optional[int],
     with_reflections: bool,
 ) -> int:
-    """Average the fixed gluings over the 2n rotations, and the 2n reflections s -> c - s if asked.
-
-    One search per class of _symmetry_classes, weighted by the class size;
-    the sizes add up to the order of the group.
-    """
-    full_mode = not surface.orientable
-    _check_limit(n, full_mode, max_edges)
-    frozen = None if degrees is None else frozenset(degrees)
-    classes = [c for c in _symmetry_classes(n) if with_reflections or c[0] != "reflection"]
-    fixed_total = sum(size * _tally(_histogram(n, full_mode, frozen, sym), surface) for _, size, sym in classes)
-    order = sum(size for _, size, _ in classes)
-    return exact_quotient(fixed_total, order, f"Burnside sum over a group of order {order}")
+    """Average the fixed gluings over the 2n rotations, and the 2n reflections s -> c - s if asked."""
+    fixed = _fixed_counts(n, surface, degrees, max_edges)
+    total = sum(count for kind, count in fixed.items() if with_reflections or kind != "reflection")
+    order = 4 * n if with_reflections else 2 * n
+    return exact_quotient(total, order, f"Burnside sum over a group of order {order}")
 
 
 def count_sensed_orientable(
@@ -475,5 +443,5 @@ def count_precubic(
     cubic_vertices, remainder = divmod(2 * n - leaves, 3)
     if remainder != 0 or cubic_vertices < 0:
         return 0
-    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}), None)
-    return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices)]
+    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}))
+    return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices), 1]

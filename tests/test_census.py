@@ -203,22 +203,20 @@ def test_walked_rotation_terms_match_one_precubic_count_per_summand(g: int) -> N
 def test_rotations_of_each_order_fix_2n_times_their_terms(surface: SurfaceClass) -> None:
     # Burnside one symmetry kind at a time, w = 2n on orientable surfaces (the
     # terms average over 2n rootings) and 4n on non-orientable ones. The
-    # gluings fixed by each kind of the oracle's class list, one search per
-    # class weighted by its size, are w times its terms: the identity (kind 1)
-    # the rooted term, the rotations of order l the ("hl", l, ...) terms and
-    # the two reflection classes the reflection terms (orientable) or the h2
-    # terms. A kind with no key fixes nothing.
+    # gluings the oracle finds fixed by each kind, summed over its symmetries,
+    # are w times its terms: the identity (kind 1) the rooted term, the
+    # rotations of order l the ("hl", l, ...) terms and the reflections the
+    # reflection terms (orientable) or the h2 terms. A kind missing on one
+    # side counts 0 there.
     g, orientable = surface.genus, surface.orientable
     n = 6 * g - 3 if orientable else 3 * g - 3
     weight = 2 * n if orientable else 4 * n
-    fixed: Dict[object, int] = defaultdict(int)
-    for kind, size, symmetry in oracle._symmetry_classes(n):
-        fixed[kind] += size * oracle._tally(oracle._histogram(n, not orientable, frozenset({3}), symmetry), surface)
+    fixed = oracle._fixed_counts(n, surface, frozenset({3}), n)
     by_kind: Dict[object, Fraction] = defaultdict(Fraction)
     for key, num, den in (orientable_terms if orientable else nonorientable_terms)(g):
         by_kind[1 if key[0] == "rooted" else key[1] if key[0] == "hl" else "reflection"] += Fraction(num, den)
-    assert set(by_kind) <= set(fixed)
-    assert fixed == {kind: weight * by_kind[kind] for kind in fixed}
+    kinds = {**by_kind, **fixed}
+    assert {kind: fixed[kind] for kind in kinds} == {kind: weight * by_kind[kind] for kind in kinds}
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicmaps import cli, golden, oracle
+from cubicmaps import cli, golden, oracle, orbifolds
 from cubicmaps.census import nonorientable_census_row, orientable_census_row
 from cubicmaps.cli import main
 
@@ -426,20 +426,24 @@ def test_verify_defaults_pass(capsys, tmp_path) -> None:
 
     walk(report)
 
-    # the oracle checks in the order they run: cubic counts, then precubic counts by edges,
-    # orientable surfaces first, each with the leaf count the Euler relation gives
+    # the oracle checks in the order they run: cubic counts, each genus with its fixed counts by symmetry kind,
+    # then precubic counts by edges, orientable surfaces first, each with the leaf count the Euler relation gives
     oracle_suite = next(suite for suite in report["suites"] if suite["name"] == "oracle-equivalence")
     assert [check["label"] for check in oracle_suite["checks"]] == [
         "cubic orientable genus 1 rooted (n=3)",
         "cubic orientable genus 1 sensed (n=3)",
         "cubic orientable genus 1 unsensed (n=3)",
+        "cubic orientable genus 1 fixed counts by symmetry kind (n=3, 5 kinds)",
         "cubic orientable genus 2 rooted (n=9)",
         "cubic orientable genus 2 sensed (n=9)",
         "cubic orientable genus 2 unsensed (n=9)",
+        "cubic orientable genus 2 fixed counts by symmetry kind (n=9, 4 kinds)",
         "cubic non-orientable genus 2 rooted (n=3)",
         "cubic non-orientable genus 2 unsensed (n=3)",
+        "cubic non-orientable genus 2 fixed counts by symmetry kind (n=3, 3 kinds)",
         "cubic non-orientable genus 3 rooted (n=6)",
         "cubic non-orientable genus 3 unsensed (n=6)",
+        "cubic non-orientable genus 3 fixed counts by symmetry kind (n=6, 3 kinds)",
         "precubic orientable genus 0, 1 edges, 2 leaves",
         "precubic orientable genus 0, 3 edges, 3 leaves",
         "precubic orientable genus 1, 3 edges, 0 leaves",
@@ -497,7 +501,7 @@ def test_verify_prints_each_suite_line_when_it_finishes(capsys, monkeypatch) -> 
 
     monkeypatch.setattr(cli, "suite_integrality", integrality)
     assert main(["verify", "--max-edges-orientable", "3", "--max-edges-full", "3"]) == 0
-    assert printed_before_integrality == ["oracle-equivalence: PASS (10 checks)\n"]
+    assert printed_before_integrality == ["oracle-equivalence: PASS (12 checks)\n"]
     assert capsys.readouterr().out.splitlines() == [
         "integrality: PASS (1 check)",
         "specialization: PASS (3 checks)",
@@ -576,6 +580,16 @@ def test_verify_reports_value_errors_as_failures(capsys, monkeypatch, name, suit
     assert last.endswith(f", want {wants[name]}")
 
 
+def test_a_wrong_epsilon_fails_the_fixed_counts_of_its_rotation_order(monkeypatch) -> None:
+    # doubling epsilon at l = 3 doubles the order-3 terms of non-orientable genus 3, away from the oracle's count
+    epsilon_hl = orbifolds.epsilon_hl
+    monkeypatch.setattr(orbifolds, "epsilon_hl", lambda l, *args: epsilon_hl(l, *args) * (2 if l == 3 else 1))
+    checks = cli.suite_oracle_equivalence(3, 6)
+    check = next(c for c in checks if c.label.startswith("cubic non-orientable genus 3 fixed counts by symmetry kind"))
+    assert not check.passed
+    assert check.got.startswith("rotations of order 3: ")
+
+
 def test_verify_unwritable_report_fails_before_any_suite(capsys, monkeypatch, tmp_path) -> None:
     def never(*args, **kwargs):
         raise AssertionError("a suite ran although the report cannot be written")
@@ -593,7 +607,7 @@ def test_verify_full_report_device_fails_after_every_suite(capsys) -> None:
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out.splitlines() == [
-        "oracle-equivalence: PASS (10 checks)",
+        "oracle-equivalence: PASS (12 checks)",
         "integrality: PASS (1 check)",
         "specialization: PASS (3 checks)",
         "table-reproduction: PASS (3 checks)",

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -73,9 +74,9 @@ def _matchings(sides):
             yield ((first, partner),) + tail
 
 
-def _all_gluings(n: int):
+def _all_gluings(n: int, allow_twists: bool = True):
     for pairs in _matchings(tuple(range(2 * n))):
-        for twists in itertools.product((False, True), repeat=n):
+        for twists in itertools.product((False, True) if allow_twists else (False,), repeat=n):
             yield PolygonGluing(n, pairs, twists)
 
 
@@ -124,7 +125,8 @@ def test_classify_agrees_with_the_search() -> None:
     for n in range(1, 5):
         histogram = Counter(classify(gluing) for gluing in _all_gluings(n))
         total += sum(histogram.values())
-        assert histogram == oracle._count_search(n, True, None)
+        rooted = Counter({inv: c for (inv, kind), c in oracle._count_search(n, True, None).items() if kind == 1})
+        assert histogram == rooted
     assert total == 1814
 
 
@@ -134,38 +136,61 @@ def _is_fixed(gluing: PolygonGluing, symmetry) -> bool:
     return {(frozenset(symmetry[s] for s in pair), twist) for pair, twist in glued} == glued
 
 
+def _symmetries(n: int):
+    # (kind, side permutation) for each of the 2n rotations, by their order, and the 2n reflections s -> c - s
+    two_n = 2 * n
+    rotations = [(two_n // gcd(d, two_n), [(s + d) % two_n for s in range(two_n)]) for d in range(two_n)]
+    return rotations + [("reflection", [(c - s) % two_n for s in range(two_n)]) for c in range(two_n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_force_fixed(n: int, allow_twists: bool) -> Counter:
+    # (invariants, kind) -> the (gluing, symmetry of that kind fixing it) pairs, every symmetry tried on every gluing
+    symmetries = _symmetries(n)
+    fixed: Counter = Counter()
+    for gluing in _all_gluings(n, allow_twists):
+        invariants = _reference_invariants(gluing)
+        fixed.update((invariants, kind) for kind, symmetry in symmetries if _is_fixed(gluing, symmetry))
+    return fixed
+
+
 # the empty set, top degrees 1 and 2 and gapped sets are where a wrongly forced side or twist would show
 @pytest.mark.parametrize(
     "degrees",
     [None, frozenset({1, 3}), frozenset({3}), frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset({2, 4}), frozenset({1, 2, 3})],
 )
 def test_fixed_searches_match_brute_force(degrees) -> None:
-    for n in range(1, 5):
-        two_n = 2 * n
-        classified = [(g, classify(g)) for g in _all_gluings(n)]
-        rotations = [[(s + d) % two_n for s in range(two_n)] for d in range(two_n)]
-        reflections = [[(c - s) % two_n for s in range(two_n)] for c in range(two_n)]
-        for symmetry in [None] + rotations + reflections:
-            fixed = Counter(
-                invariants
-                for gluing, invariants in classified
-                if (symmetry is None or _is_fixed(gluing, symmetry))
-                and (degrees is None or set(invariants.degrees) <= degrees)
-            )
-            for allow_twists in (True, False):
-                expected = Counter({inv: c for inv, c in fixed.items() if allow_twists or inv.orientable})
-                assert oracle._count_search(n, allow_twists, degrees, symmetry) == expected, (n, allow_twists, symmetry)
+    # twisted n <= 4 and orientable n <= 6: both parities of n past 4, where the gap prune cuts deeper
+    for n, allow_twists in [(n, twists) for n in range(1, 5) for twists in (True, False)] + [(5, False), (6, False)]:
+        expected = Counter(
+            {
+                (invariants, kind): count
+                for (invariants, kind), count in _brute_force_fixed(n, allow_twists).items()
+                if degrees is None or set(invariants.degrees) <= degrees
+            }
+        )
+        assert oracle._count_search(n, allow_twists, degrees) == expected, (n, allow_twists)
 
 
-def test_the_mirrored_identity_root_matches_the_full_root() -> None:
-    # past the brute-force sizes: an explicit identity permutation walks every root branch 0~j with no gap prune,
-    # symmetry None only j <= n, counting j < n twice, with no pair of gap below j and 2n / |S| per gluing;
-    # both parities of n, every tree of `verify --max-edges-full 8`, and sizes where the gap prune cuts most
-    for allow_twists, top in ((True, 10), (False, 11)):
-        for n in range(5, top + 1):
-            for degrees in (frozenset({3}), frozenset({1, 3})):
-                full_root = oracle._count_search(n, allow_twists, degrees, list(range(2 * n)))
-                assert oracle._count_search(n, allow_twists, degrees) == full_root, (n, allow_twists, degrees)
+def _lifted(gluing: PolygonGluing, k: int) -> PolygonGluing:
+    # the gluing repeated k times around a k times larger polygon, fixed by the rotation by its 2n sides
+    two_n = 2 * gluing.n
+    pairs = tuple((i + two_n * a, j + two_n * a) for a in range(k) for i, j in gluing.pairs)
+    return PolygonGluing(gluing.n * k, pairs, gluing.twists * k)
+
+
+def test_the_stabilizer_matches_each_symmetry_tried_in_turn() -> None:
+    # random gluings past the brute-force sizes, and lifts, whose stabilizers hold rotations and often reflections
+    rng = random.Random(20261020)
+    for n in (6, 7, 8):
+        gluings = [_random_gluing(n, rng) for _ in range(100)]
+        gluings += [_lifted(_random_gluing(m, rng), n // m) for m in range(1, n) if n % m == 0 for _ in range(30)]
+        for gluing in gluings:
+            partner, twist = [0] * (2 * n), [False] * (2 * n)
+            for (i, j), twisted in zip(gluing.pairs, gluing.twists):
+                partner[i], partner[j], twist[i], twist[j] = j, i, twisted, twisted
+            expected = Counter(kind for kind, symmetry in _symmetries(n) if _is_fixed(gluing, symmetry))
+            assert Counter(oracle._stabilizer(partner, twist)) == expected, gluing
 
 
 def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
@@ -182,7 +207,7 @@ def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
 
     monkeypatch.setattr(oracle._PartialGluing, "glue", counting_glue)
     histogram = oracle._count_search(8, True, frozenset({1, 3}))
-    assert sum(histogram.values()) == 2304
+    assert sum(c for (_, kind), c in histogram.items() if kind == 1) == 2304
     assert calls < 7_500
 
 
@@ -299,39 +324,31 @@ def test_shared_identity_search_is_order_independent() -> None:
 
 
 def test_rooted_and_burnside_identity_walk_one_tree() -> None:
-    # the unsensed count reads the rooted count's identity tree and searches its 7 other classes of the 12-gon
+    # the unsensed count reads every symmetry kind from the rooted count's tree and searches nothing more
     oracle._histogram.cache_clear()
     surface = SurfaceClass(False, 3)
     assert count_rooted(6, surface, _CUBIC) == 128
     assert count_unsensed(6, surface, _CUBIC) == 11
     info = oracle._histogram.cache_info()
-    assert (info.misses, info.hits) == (8, 1)
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("max_f, trees", [(6, 14), (8, 16)])
 def test_the_queries_of_one_identity_tree_arrive_together(monkeypatch, max_f: int, trees: int) -> None:
-    # the 16-entry cache costs no re-walk of an identity tree only while each tree's queries are consecutive;
-    # the sensed and unsensed counts of one n share their rotation searches, 24 in all (32 without), since
-    # both limits reach the cubic non-orientable n = 3 and 6 only
+    # the 16-entry cache costs no re-walk of a tree only while each tree's queries are consecutive
     cached = oracle._histogram
     keys = []
-    misses = Counter()
 
     def recording(*key):
-        before = cached.cache_info().misses
-        result = cached(*key)
-        identity = key[3] is None
-        misses[identity] += cached.cache_info().misses - before
-        if identity:
-            keys.append(key)
-        return result
+        keys.append(key)
+        return cached(*key)
 
     cached.cache_clear()
     monkeypatch.setattr(oracle, "_histogram", recording)
     cli.suite_oracle_equivalence(9, max_f)
     runs = [key for key, _ in itertools.groupby(keys)]
     assert len(runs) == len(set(runs)) == trees
-    assert misses == {True: trees, False: 24}
+    assert cached.cache_info().misses == trees
 
 
 def test_limit_holds_on_a_warm_cache() -> None:
@@ -346,59 +363,3 @@ def test_limit_holds_on_a_warm_cache() -> None:
 def test_allowed_degrees_may_be_a_plain_set() -> None:
     surface = SurfaceClass(True, 2)
     assert count_rooted(9, surface, {3}) == count_rooted(9, surface, frozenset({3})) == 105
-
-
-def _exact(total: int, order: int) -> int:
-    quotient, remainder = divmod(total, order)
-    assert remainder == 0
-    return quotient
-
-
-def _on(histogram, surface: SurfaceClass) -> int:
-    return sum(c for inv, c in histogram.items() if (inv.orientable, inv.genus) == (surface.orientable, surface.genus))
-
-
-@pytest.mark.parametrize("degrees", [None, _CUBIC])
-def test_class_weighted_burnside_matches_per_element_burnside(degrees) -> None:
-    # the reference searches every one of the 2n rotations and 2n reflections on its own
-    cases = [(n, True) for n in range(1, 6)] + [(n, False) for n in range(1, 8)]
-    for n, twisted in cases:
-        two_n = 2 * n
-        rotations: Counter = Counter()
-        reflections: Counter = Counter()
-        for d in range(two_n):
-            rotations.update(oracle._count_search(n, twisted, degrees, [(s + d) % two_n for s in range(two_n)]))
-            reflections.update(oracle._count_search(n, twisted, degrees, [(d - s) % two_n for s in range(two_n)]))
-        if twisted:
-            surfaces = [SurfaceClass(False, g) for g in range(1, n + 1)]
-        else:
-            surfaces = [SurfaceClass(True, g) for g in range(n // 2 + 1)]
-        for surface in surfaces:
-            rotated, reflected = _on(rotations, surface), _on(reflections, surface)
-            unsensed = _exact(rotated + reflected, 4 * n)
-            assert count_unsensed(n, surface, degrees, max_edges=7) == unsensed, (n, surface)
-            if surface.orientable:
-                sensed = _exact(rotated, two_n)
-                assert count_sensed_orientable(n, surface.genus, degrees, max_edges=7) == sensed, (n, surface)
-
-
-@pytest.mark.parametrize("n", [6, 9])
-def test_burnside_searches_once_per_symmetry_class(monkeypatch, n) -> None:
-    # a sensed count searches one rotation class per divisor of 2n but 2n; the unsensed count after it
-    # reads those from the cache and searches only the two reflection classes
-    symmetric_searches = []
-    search = oracle._count_search
-
-    def counting_search(n, allow_twists, degrees, symmetry=None):
-        if symmetry is not None:
-            symmetric_searches.append(symmetry)
-        return search(n, allow_twists, degrees, symmetry)
-
-    oracle._histogram.cache_clear()
-    monkeypatch.setattr(oracle, "_count_search", counting_search)
-    divisors = sum(1 for d in range(1, 2 * n + 1) if 2 * n % d == 0)
-    count_sensed_orientable(n, 2, _CUBIC)
-    assert len(symmetric_searches) == divisors - 1
-    symmetric_searches.clear()
-    count_unsensed(n, SurfaceClass(True, 2), _CUBIC)
-    assert len(symmetric_searches) == 2
