@@ -35,8 +35,10 @@ def main() -> int:
     print(f"Oracle vs closed forms (orientable n <= {max_o}, non-orientable n <= {max_f}):")
     checks = suite_oracle_equivalence(max_o, max_f)
     for check in checks:
-        verdict = "MATCH" if check.passed else "MISMATCH"
-        print(f"  {check.label}: oracle {check.got}, formula {check.want} {verdict}")
+        if check.passed:
+            print(f"  {check.label}: {check.got} MATCH")
+        else:
+            print(f"  {check.label}: oracle {check.got}, formula {check.want} MISMATCH")
     print()
     if not all(check.passed for check in checks):
         print("Some oracle counts differ from the closed forms.")

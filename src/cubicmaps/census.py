@@ -20,19 +20,19 @@ row and correction term is one pass over one list, and each public count
 reads its row, so every count passes the row's sandwich checks.
 
 The quotient counts are walked in rooted_counts by exact small-ratio steps,
-and each count is its total divided out once by exact_quotient, which
-raises on a remainder: a free correctness check. The correction terms are
-exact rationals, reduced once as a Fraction.
+the non-orientable ones one crosscap count at a time (its period-2 count,
+then its signatures), and each count is its total divided out once by
+exact_quotient, which raises on a remainder: a free correctness check. Only
+the correction term sums h2_term_nonorientable and hl_term_nonorientable
+build a Fraction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict, namedtuple
-from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 from .exactnum import exact_quotient
 from .orbifolds import _contributing_signatures, epsilon_h2_nonorientable, epsilon_h2_orientable
@@ -40,9 +40,13 @@ from .rooted_counts import (
     _nonorientable_walk,
     _orientable_period_two,
     _orientable_rotations,
+    precubic_nonorientable_by_genus_pair,
     rooted_cubic_nonorientable,
     rooted_cubic_orientable,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # (key, numerator, denominator) of one exact summand
 Term = Tuple[tuple, int, int]
@@ -139,7 +143,7 @@ def orientable_terms(g: int) -> Iterator[Term]:
         raise ValueError(f"orientable genus must be >= 1 (got {g})")
     yield ("rooted",), rooted_cubic_orientable(g), 2 * (6 * g - 3)
     yield ("reflection", "orientable"), rooted_cubic_orientable(g // 2) if g % 2 == 0 else 0, 1
-    yield ("reflection", "non-orientable"), 1 if g == 1 else rooted_cubic_nonorientable(g), 1
+    yield ("reflection", "non-orientable"), precubic_nonorientable_by_genus_pair(2 * g, g), 1
     for l, gg, n_s, n_v, count in _orientable_rotations(g):
         yield ("hl", l, gg, n_s, n_v), count, 12 * g - 6 + l * n_s
 
@@ -180,20 +184,6 @@ def unsensed_cubic_orientable(g: int) -> int:
 # ============================================================
 
 
-def _nonorientable_keys(g: int) -> Iterator[tuple]:
-    """The keys of the non-orientable walk, in (gg, k) order, for gg = 1..g//2.
-
-    Each gg gives its contributing signatures (gg, k, l, n_s, n_v, epsilon)
-    in (k, l) order, as orbifolds streams them, with the period-2 key
-    (gg, g-2gg) placed ahead of those with k >= g-2gg.
-    """
-    signatures = _contributing_signatures(g)
-    for gg in range(1, g // 2 + 1):
-        keys = next(signatures, [])
-        keys.insert(bisect_left(keys, (gg, g - 2 * gg)), (gg, g - 2 * gg))
-        yield from keys
-
-
 def nonorientable_terms(g: int) -> Iterator[Term]:
     """The named exact terms of the non-orientable genus-g census, as (key, numerator, denominator).
 
@@ -212,12 +202,10 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
 
     Every quotient count comes from a chain of exact small-ratio steps in
     rooted_counts: the orientable period-2 quotients (gg, k = g-4gg) from
-    _orientable_period_two, and every non-orientable quotient count,
-    period-2 (gg, g-2gg) or closed signature (gg, n_s+n_v), from
-    _nonorientable_walk over the keys of _nonorientable_keys in (gg, k)
-    order: the period-2 term of a key comes before its signatures, and those
-    in rising l. No key list is built; the signatures are read one crosscap
-    count at a time, and each term is yielded as soon as its count is known.
+    _orientable_period_two, and every non-orientable quotient count from
+    _nonorientable_walk over the signatures of _contributing_signatures, one
+    crosscap count gg at a time: its period-2 term (gg, g-2gg), then its
+    signature terms (gg, n_s+n_v) in (k, l) order.
 
     The edgeless key (1, 0) has the formal value 1, read by the period-2 term
     at g = 2. It never occurs among the signatures: at gg = 1 they have
@@ -228,12 +216,9 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
     yield ("rooted",), rooted_cubic_nonorientable(g), 4 * (3 * g - 3)
     for gg, quotients in enumerate(_orientable_period_two(g)):
         yield ("h2", True, gg, g - 4 * gg), epsilon_h2_orientable(gg, g - 4 * gg) * quotients, 2
-    for key, value in _nonorientable_walk(g, _nonorientable_keys(g)):
-        if len(key) == 2:
-            gg, k = key
-            yield ("h2", False, gg, k), epsilon_h2_nonorientable(gg, k) * value, 2
-        else:
-            gg, k, l, n_s, n_v, eps = key
+    for gg, (quotients, signatures) in enumerate(_nonorientable_walk(g, _contributing_signatures(g)), 1):
+        yield ("h2", False, gg, g - 2 * gg), epsilon_h2_nonorientable(gg, g - 2 * gg) * quotients, 2
+        for (_, k, l, n_s, n_v, eps), value in signatures:
             yield ("hl", l, gg, n_s, n_v), eps * comb(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
 
 
@@ -244,6 +229,8 @@ def h2_term_nonorientable(g: int) -> Fraction:
     period-2 quotient orbifold. Exact rational: integrality holds only for the
     full assembly, not per term.
     """
+    from fractions import Fraction
+
     return Fraction(*_assemble(term for term in nonorientable_terms(g) if term[0][0] == "h2"))
 
 
@@ -254,6 +241,8 @@ def hl_term_nonorientable(g: int) -> Fraction:
     contributing closed signature. Summands sharing a dart count 6g-6 + l*n_s
     share their denominator, so each distinct one costs one reduction.
     """
+    from fractions import Fraction
+
     return Fraction(*_assemble(term for term in nonorientable_terms(g) if term[0][0] == "hl"))
 
 

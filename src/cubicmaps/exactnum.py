@@ -1,7 +1,7 @@
 """Exact arithmetic and number-theoretic helpers shared by all counting formulas.
 
-Counts are plain Python ints (arbitrary precision). Intermediate values that
-carry fractional prefactors are ``fractions.Fraction``. A Jordan totient
+Counts are plain Python ints (arbitrary precision). Exact rational summands
+are carried as (numerator, denominator) pairs of ints. A Jordan totient
 evaluated at a non-integral argument is zero (``jordan_totient_or_zero``),
 which makes every epimorphism closed form total. The printed census sums
 also read a factorial of a negative integer in a summand denominator as a

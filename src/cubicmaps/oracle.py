@@ -436,12 +436,12 @@ def count_precubic(
     leaves: int,
     max_edges: Optional[int] = None,
 ) -> int:
-    """Count rooted one-face maps with n edges, `leaves` degree-1 vertices, rest degree 3."""
+    """Count rooted one-face maps with n edges, `leaves` degree-1 vertices, rest degree 3.
+
+    By Euler's relation a surface allows one {1, 3} profile, with
+    2 leaves = n - 3 + 3 chi; any other leaf count gives 0.
+    """
     _check_limit(n, not surface.orientable, max_edges)
-    if leaves < 0:
+    if 2 * leaves != n - 3 + 3 * surface.euler_characteristic():
         return 0
-    cubic_vertices, remainder = divmod(2 * n - leaves, 3)
-    if remainder != 0 or cubic_vertices < 0:
-        return 0
-    histogram = _histogram(n, not surface.orientable, frozenset({1, 3}))
-    return histogram[MapInvariants(surface.orientable, surface.genus, (1,) * leaves + (3,) * cubic_vertices), 1]
+    return _fixed_counts(n, surface, {1, 3}, max_edges)[1]

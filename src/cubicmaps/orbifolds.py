@@ -28,7 +28,6 @@ builds it, so it carries no constructor checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import euler_phi, jordan_totient_or_zero, lcm_list
@@ -135,15 +134,13 @@ def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, 
     epsilon, with no record built for the others and one epsilon_hl call
     per contributing (l, gg).
     Whole periods are decided at once: with q = (6g-6)/l, n_s = rest = q
-    (mod 2), and l/3 is even whenever 6 | l, so epsilon_hl's parity test
-    reads (l/2) q + 1. An odd period always contributes (with n_s = 0), an
-    even one exactly when l = 2 (mod 4) and q is odd; at odd g, where
-    4 | 6g-6, no even period does. So no contributing signature has more
-    than g//2 crosscaps (odd l >= 3; even l only at even g). The stream stops
-    after the last gg that any contributing period reaches.
+    (mod 2) and l/3 is even whenever 6 | l, so a period contributes exactly
+    when epsilon_hl(l, 1, q mod 2, 0) is nonzero (at odd g no even period
+    does). So no contributing signature has more than g//2 crosscaps. The
+    stream stops after the last gg that any contributing period reaches.
     """
     # rising l, so the periods that reach gg, those with (g+l-1)//l >= gg, are a prefix
-    periods = [l for l in _periods(g) if l % 2 or (l % 4 == 2 and (6 * g - 6) // l % 2)]
+    periods = [l for l in _periods(g) if epsilon_hl(l, 1, (6 * g - 6) // l % 2, 0)]
     for gg in range(1, g // 2 + 1):
         while periods and (g + periods[-1] - 1) // periods[-1] < gg:
             periods.pop()
@@ -169,8 +166,7 @@ def epsilon_hl(l: int, gg: int, n_s: int, n_v: int) -> int:
     if l < 2 or gg < 1 or n_s < 0 or n_v < 0:
         raise ValueError("epsilon_hl arguments out of range")
     # The parity test is decided first. Over the signatures of one genus g it depends on the
-    # period only: at odd g every even period fails it, at even g those with l = 0 (mod 4)
-    # or (6g-6)/l even (see _contributing_signatures).
+    # period only, which _contributing_signatures reads once per period.
     if l % 2 == 0 and ((l // 2) * n_s + (l // 3) * n_v + 1) % 2 != 0:
         return 0
     base = l ** (gg - 1) * euler_phi(l) * 2 ** n_v
@@ -253,6 +249,8 @@ def epi_nonorientable_closed(gg: int, branch_indices: Sequence[int], l: int) -> 
     l = 2k with k odd is the difference of the previous form and the
     nested-subgroup term m^{gg-1} J_{gg-1}(l/(2m)) prod phi(m_i).
     """
+    from fractions import Fraction
+
     if gg < 1:
         raise ValueError("a non-orientable orbifold needs gg >= 1")
     if l < 2:

@@ -19,19 +19,20 @@ by an exact ratio, again with a remainder check: _orientable_handles trades
 four index-2 branch points for one handle at a time (the chains of
 _orientable_period_two and of the order-2 and order-6 classes of
 _orientable_rotations, which walks the rotation classes of order 2, 3 and 6
-with their epimorphism weights), and _nonorientable_walk walks the
-non-orientable quotient keys in (crosscaps, leaves) order, the period-2 keys
-two crosscaps at a time (one chain per parity of the crosscaps) and every
-other key one leaf at a time.
+with their epimorphism weights), and _nonorientable_walk steps, per crosscap
+count, one period-2 chain of each parity and the signatures leaf by leaf.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .exactnum import exact_quotient, factorial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ============================================================
@@ -53,10 +54,24 @@ def _orientable_form(gg: int, k: int) -> int:
     )
 
 
-def _nonorientable_form(gg: int, k: int) -> int:
+def _central_sums() -> Iterator[int]:
+    """N_1, N_2, ... with N_h = sum_{i<h} C(2i, i) 16^{h-1-i}: N_{h+1} = 16 N_h + C(2h, h), N_1 = 1.
+
+    C(2h+2, h+1) = C(2h, h) 2(2h+1)/(h+1) steps the central binomial along.
+    """
+    partial, central, h = 1, 2, 1
+    while True:
+        yield partial
+        partial, central, h = 16 * partial + central, central * 2 * (2 * h + 1) // (h + 1), h + 1
+
+
+def _nonorientable_form(gg: int, k: int, central: Optional[int] = None) -> int:
     """Rooted precubic one-face maps with k leaves on the non-orientable genus-gg surface.
 
-    Even gg = 2h: 2 c_h (2k+6h-3)! / (k! (k+3h-2)!).
+    Even gg = 2h: 2 c_h (2k+6h-3)! / (k! (k+3h-2)!), with c_h written through
+    N_h of _central_sums (see c_coefficient):
+    2 h! N_h (2k+6h-3)! / (12^{h-1} (2h)! k! (k+3h-2)!). A caller that
+    carries N_h passes it as `central`; otherwise it is computed.
     Odd gg = 2h+1: 2^{6h+2k} (k+3h)! / (3^h h! k!).
     Defined for gg >= 1 and k >= 0. Evaluated literally, so the edgeless
     (gg, k) = (1, 0) gets the formal value 1.
@@ -64,33 +79,28 @@ def _nonorientable_form(gg: int, k: int) -> int:
     context = f"precubic non-orientable count at (gg={gg}, k={k})"
     h = gg // 2
     if gg % 2 == 0:
-        c = c_coefficient(h)
-        return exact_quotient(
-            2 * c.numerator * factorial(2 * k + 6 * h - 3),
-            c.denominator * factorial(k) * factorial(k + 3 * h - 2),
-            context,
-        )
+        if central is None:
+            central = next(islice(_central_sums(), h - 1, None))
+        num = 2 * factorial(h) * central * factorial(2 * k + 6 * h - 3)
+        return exact_quotient(num, 12 ** (h - 1) * factorial(2 * h) * factorial(k) * factorial(k + 3 * h - 2), context)
     return exact_quotient(2 ** (6 * h + 2 * k) * factorial(k + 3 * h), 3 ** h * factorial(h) * factorial(k), context)
 
 
 def c_coefficient(h: int) -> Fraction:
-    """The rational constant c_h appearing in the even-genus non-orientable counts.
+    """The rational constant c_h of the even-genus non-orientable counts.
 
     c_h = 2^{2h-2} h! / (3^{h-1} (2h)!) * sum_{i=0}^{h-1} C(2i, i) 16^{-i}.
     c_1 = 1/2, c_2 = 1/8.
 
-    The partial sum is N_h / 16^{h-1} with the integer
-    N_h = sum_{i<h} C(2i, i) 16^{h-1-i}, built by Horner's rule
-    N <- 16 N + C(2i, i) while C(2i+2, i+1) = C(2i, i) 2(2i+1)/(i+1), so
-    c_h = h! N_h / (12^{h-1} (2h)!) takes a single reduction.
+    The partial sum is N_h / 16^{h-1} with the integer N_h of _central_sums,
+    so c_h = h! N_h / (12^{h-1} (2h)!) takes a single reduction. No count
+    reads it: _nonorientable_form writes c_h through N_h.
     """
+    from fractions import Fraction
+
     if h <= 0:
         raise ValueError(f"c_coefficient requires h >= 1 (got {h})")
-    partial, central = 0, 1
-    for i in range(h):
-        partial = 16 * partial + central
-        central = central * 2 * (2 * i + 1) // (i + 1)
-    return Fraction(factorial(h) * partial, 12 ** (h - 1) * factorial(2 * h))
+    return Fraction(factorial(h) * next(islice(_central_sums(), h - 1, None)), 12 ** (h - 1) * factorial(2 * h))
 
 
 # ============================================================
@@ -223,66 +233,48 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
             yield 6, gg, top - 4 * gg, n_v, value
 
 
-def _nonorientable_walk(g: int, keys: Iterable[tuple]) -> Iterator[Tuple[tuple, int]]:
-    """Each key (gg, k, ...) the genus-g census reads, with the non-orientable precubic count at (gg, k), in order.
+def _nonorientable_walk(g: int, signatures: Iterator[List[tuple]]) -> Iterator[Tuple[int, List[Tuple[tuple, int]]]]:
+    """For gg = 1..g//2: the precubic count at the period-2 key (gg, g-2gg), and each signature of gg with its count.
 
-    The keys come in (gg, k) order, repeats allowed, and include every
-    period-2 key (gg, g-2gg), gg = 1..g//2; fields after (gg, k) ride along.
-    The period-2 keys form two chains in h, one per parity of gg, stepped two
-    crosscaps at a time. Odd gg = 2h+1 starts at gg = 1 from 4^{g-2} (the
-    formal value 1 at the edgeless (1, 0) when g = 2); even gg = 2h starts at
-    gg = 2 from the public count and carries N_h of c_coefficient by
-    N_{h+1} = 16 N_h + C(2h, h), one step at the first key of each even gg.
-    With h and k = g-2gg+4 those of gg-2, the ratios are
+    `signatures` yields one list of keys (gg, k, ...) per gg, in k order,
+    repeats allowed (orbifolds._contributing_signatures); a key's count is
+    the non-orientable precubic count at (gg, k). The period-2 counts form
+    two chains in h, one per parity of gg, started at gg = 1 and 2 from the
+    closed form and stepped two crosscaps at a time; the even one carries N_h
+    of _central_sums. With h and k = g-2gg+4 those of gg-2, the ratios are
     k(k-1)(k-2)(k-3) / (12 (h+1)(g-h-2)) (odd) and
-    N_{h+1} k(k-1)(k-2)(k-3)(g-h-2) / (24 (2h+1) N_h (2g-2h-3)(2g-2h-4)).
-
-    Any other key repeating the last key reuses its count, one leaf past it
-    on the same surface steps that count (from k to k+1 leaves by
-    4(k+1+3h) / (k+1) for odd gg = 2h+1, (2k+6h-1)(2k+6h-2) / ((k+1)(k+3h-1))
-    for even gg = 2h), and otherwise starts a new chain from the closed form:
-    the public count at odd gg, and at even gg = 2h the form with c_h written
-    through the chain's N_h, 2 h! N_h (2k+6h-3)! / (12^{h-1} (2h)! k! (k+3h-2)!),
-    so no start recomputes c_coefficient. Every step and start is one exact
-    division, so a wrong ratio raises.
+    N_{h+1} k(k-1)(k-2)(k-3) / (48 (2h+1) N_h (2g-2h-3)) (even).
+    A signature repeating the last key reuses its count, one leaf past it
+    steps it (from k to k+1 leaves by 4(k+1+3h) / (k+1) for odd gg = 2h+1 and
+    2(2k+6h-1) / (k+1) for even gg = 2h), and any other starts from the
+    closed form with the chain's N_h; once k reaches g-2gg, the last key may
+    be the period-2 one. Each step and start is one exact division, so a
+    wrong ratio raises.
     """
     context = f"precubic non-orientable count walked for the genus-{g} census"
-    counts = [0, 0]  # the count at the last period-2 key of each parity of gg
-    previous, partial, level = 0, 1, 1  # N_{h-1} and N_h of the even chain, h = level: N_1 = 1 serves gg = 2
-    live_gg, live_k, value = 0, 0, 0
-    for key in keys:
-        gg, k = key[0], key[1]
-        if gg % 2 == 0 and level < gg // 2:  # the first key at gg = 2h moves the chain on to N_h
-            previous, partial, level = partial, 16 * partial + comb(2 * level, level), level + 1
-        if k == live_k and gg == live_gg:
-            pass
-        elif 2 * gg + k == g:
-            # h and k(k-1)(k-2)(k-3) of the chain's previous key: gg-2 crosscaps, k+4 leaves
-            h, falling = gg // 2 - 1, (k + 4) * (k + 3) * (k + 2) * (k + 1)
-            if gg == 1:
-                counts[1] = 4 ** (g - 2)
-            elif gg == 2:
-                counts[0] = precubic_nonorientable_by_leaves(2, k)
-            elif gg % 2:
-                counts[1] = exact_quotient(counts[1] * falling, 12 * (h + 1) * (g - h - 2), context)
-            else:
-                num = counts[0] * (partial * falling * (g - h - 2))
-                den = 24 * (2 * h + 1) * previous * (2 * g - 2 * h - 3) * (2 * g - 2 * h - 4)
-                counts[0] = exact_quotient(num, den, context)
-            value = counts[gg % 2]
-        elif k == live_k + 1 and gg == live_gg:
-            h = gg // 2
-            if gg % 2 == 0:
-                num, den = (2 * k + 6 * h - 3) * (2 * k + 6 * h - 4), k * (k + 3 * h - 2)
-            else:
-                num, den = 4 * (k + 3 * h), k
-            value = exact_quotient(value * num, den, context)
+    sums = _central_sums()
+    chains, previous, central = [0, 0], 0, 0  # the period-2 count of each parity of gg; N_{h-1}, N_h
+    for gg in range(1, g // 2 + 1):
+        h, r = gg // 2, g - 2 * gg
+        falling = (r + 4) * (r + 3) * (r + 2) * (r + 1)
+        if gg % 2 == 0:
+            previous, central = central, next(sums)
+        if gg <= 2:
+            chains[gg % 2] = _nonorientable_form(gg, r, central)
         elif gg % 2:
-            value = precubic_nonorientable_by_leaves(gg, k)
+            chains[1] = exact_quotient(chains[1] * falling, 12 * h * (g - h - 1), context)
         else:
-            h = gg // 2
-            num = 2 * factorial(h) * partial * factorial(2 * k + 6 * h - 3)
-            den = 12 ** (h - 1) * factorial(2 * h) * factorial(k) * factorial(k + 3 * h - 2)
-            value = exact_quotient(num, den, context)
-        live_gg, live_k = gg, k
-        yield key, value
+            den = 48 * (2 * h - 1) * previous * (2 * g - 2 * h - 1)
+            chains[0] = exact_quotient(chains[0] * (central * falling), den, context)
+        last, value, counted = -2, 0, []
+        for key in next(signatures, []):
+            k = key[1]
+            if last < r <= k:
+                last, value = r, chains[gg % 2]
+            if k == last + 1:
+                value = exact_quotient(value * (4 * (k + 3 * h) if gg % 2 else 2 * (2 * k + 6 * h - 3)), k, context)
+            elif k != last:
+                value = _nonorientable_form(gg, k, central)
+            last = k
+            counted.append((key, value))
+        yield chains[gg % 2], counted

@@ -34,7 +34,6 @@ from cubicmaps.orbifolds import (
 )
 from cubicmaps.oracle import SurfaceClass
 from cubicmaps.rooted_counts import (
-    c_coefficient,
     precubic_nonorientable_by_genus_pair,
     precubic_nonorientable_by_leaves,
     precubic_orientable,
@@ -275,49 +274,60 @@ def test_period_two_chains_match_the_closed_form_at_deep_genera(monkeypatch, fir
         assert walked_period_two_values(monkeypatch, g) == want
 
 
+def counted_forms(monkeypatch) -> list:
+    """The (gg, k) of every closed-form start of the non-orientable precubic count, recorded as it is made."""
+    calls = []
+    form = rooted_counts._nonorientable_form
+
+    def counted(gg: int, k: int, central=None) -> int:
+        calls.append((gg, k))
+        return form(gg, k, central)
+
+    monkeypatch.setattr(rooted_counts, "_nonorientable_form", counted)
+    return calls
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 57, 1161])
 def test_period_two_keys_start_from_the_closed_form_only_at_two_crosscaps(monkeypatch, g: int) -> None:
-    calls = []
-
-    def counted(gg: int, k: int) -> int:
-        calls.append((gg, k))
-        return precubic_nonorientable_by_leaves(gg, k)
-
-    monkeypatch.setattr(rooted_counts, "precubic_nonorientable_by_leaves", counted)
+    calls = counted_forms(monkeypatch)
     list(nonorientable_terms(g))
     # a period-2 key (gg, g-2gg) is the one key with covering genus 2gg+k = g
-    assert [gg for gg, k in calls if 2 * gg + k == g] == ([2] if g >= 4 else [])
+    assert [gg for gg, k in calls if 2 * gg + k == g] == ([1, 2] if g >= 4 else [1])
+
+
+@pytest.mark.parametrize("g, starts", [(57, 16), (200, 71), (1162, 604), (2000, 671)])
+def test_a_count_makes_a_fixed_number_of_closed_form_starts(monkeypatch, g: int, starts: int) -> None:
+    # the rooted count, the two period-2 chain starts and one start per run of
+    # consecutive leaf counts; a walk that stopped stepping would start more
+    calls = counted_forms(monkeypatch)
+    unsensed_cubic_nonorientable(g)
+    assert len(calls) == starts
 
 
 @pytest.mark.parametrize("g", [3, 4, 16, 100])
 def test_the_walked_terms_come_in_walk_order(g: int) -> None:
-    # after the rooted and orientable period-2 terms: (gg, k) never falls, the
-    # period-2 term of a key comes before its signatures, and those in rising l;
-    # a signature shares its key with a period-2 term at g = 3, 4, with another
+    # after the rooted and orientable period-2 terms, one crosscap count gg at a
+    # time: its period-2 term, then its signatures in (k, l) order; a signature
+    # shares its (gg, k) with a period-2 term at g = 3, 4, with another
     # signature at g = 16, 100
-    order = [
-        (key[2], key[3], 0) if key[0] == "h2" else (key[2], key[3] + key[4], key[1])
-        for key, _, _ in nonorientable_terms(g)
-        if key[0] == "hl" or key[:2] == ("h2", False)
-    ]
+    terms = [key for key, _, _ in nonorientable_terms(g) if key[0] == "hl" or key[:2] == ("h2", False)]
+    order = [(key[2], -1, 0) if key[0] == "h2" else (key[2], key[3] + key[4], key[1]) for key in terms]
     assert order == sorted(order)
-    assert len({entry[:2] for entry in order}) < len(order)  # some key is shared
+    quotients = [(key[2], key[3] if key[0] == "h2" else key[3] + key[4]) for key in terms]
+    assert len(set(quotients)) < len(quotients)  # some (gg, k) is shared
 
 
 @pytest.mark.parametrize("g", [200, 1162])
 def test_the_walk_takes_even_starts_from_its_chain(monkeypatch, g: int) -> None:
-    # c_h is read from the even chain's N_h: only the rooted count and the
-    # chain's start at gg = 2 evaluate c_coefficient (52 and 446 calls when
-    # every even-crosscap start recomputed it)
-    calls = []
+    # every even-crosscap start writes c_h through N_h, carried by the walk or
+    # computed by the closed form, so no count calls c_coefficient: neither the
+    # non-orientable one nor the orientable row's non-orientable reflection term
+    def refused(h: int) -> Fraction:
+        raise AssertionError(f"c_coefficient({h}) called by a count")
 
-    def counted(h: int) -> Fraction:
-        calls.append(h)
-        return c_coefficient(h)
-
-    monkeypatch.setattr(rooted_counts, "c_coefficient", counted)
-    list(nonorientable_terms(g))
-    assert sorted(calls) == [1, g // 2]
+    monkeypatch.setattr(rooted_counts, "c_coefficient", refused)
+    assert unsensed_cubic_nonorientable(g) > 0
+    assert orientable_census_row(g).unsensed > 0
 
 
 def test_signature_terms_are_the_closed_orbifold_rows() -> None:

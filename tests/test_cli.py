@@ -235,7 +235,7 @@ def _modules_added(statements: str) -> set:
 
 
 # what only `verify` or JSON output reads; a census request in text formats imports none of it
-DEFERRED_MODULES = {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses", "json", "textwrap"}
+DEFERRED_MODULES = {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses", "fractions", "json", "textwrap"}
 
 
 @pytest.mark.parametrize(
@@ -248,7 +248,7 @@ DEFERRED_MODULES = {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses", "json
         (("table", "--surface", "orientable", "--gmin", "1", "--gmax", "2", "--format", "json"), {"json", "textwrap"}),
         (
             ("verify", "--max-edges-orientable", "3", "--max-edges-full", "3"),
-            {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses"},
+            {"cubicmaps.oracle", "cubicmaps.golden", "dataclasses", "fractions"},
         ),
     ],
     ids=["count", "table-csv", "table-markdown", "orbifolds", "table-json", "verify"],
