@@ -60,11 +60,11 @@ Term = Tuple[tuple, int, int]
 class CensusRow(namedtuple("CensusRow", "genus rooted sensed unsensed")):
     """Counts for one genus: rooted, sensed (orientable rows only), unsensed.
 
-    A row with `sensed` present is an orientable-surface row (edge count
-    6g-3), otherwise non-orientable (3g-3, so g >= 2). Every unsensed map
-    admits at most 4n rootings and every sensed map at most 2n, which gives
-    the sandwich bounds validated here: rooted/(4n) <= unsensed <= rooted,
-    and for orientable rows rooted/(2n) <= sensed <= rooted as well.
+    A row with `sensed` present is orientable (n = 6g-3 edges), otherwise
+    non-orientable (n = 3g-3, so g >= 2). An unsensed map has at most 4n
+    rootings and a sensed map at most 2n, which gives the bounds checked
+    here: rooted/(4n) <= unsensed <= rooted, and on orientable rows
+    rooted/(2n) <= sensed <= rooted. With n >= 3 no count can be negative.
     """
 
     __slots__ = ()
@@ -79,8 +79,6 @@ class CensusRow(namedtuple("CensusRow", "genus rooted sensed unsensed")):
             raise ValueError(f"genus must be >= 1 (got {genus})")
         if sensed is None and genus < 2:
             raise ValueError(f"non-orientable census needs g >= 2 (got {genus})")
-        if min(rooted, unsensed) < 0 or (sensed is not None and sensed < 0):
-            raise ValueError("counts must be nonnegative")
         if sensed is not None and not (unsensed <= sensed <= rooted):
             raise ValueError(f"expected unsensed <= sensed <= rooted at g={genus}")
         if unsensed > rooted:
@@ -218,7 +216,7 @@ def nonorientable_terms(g: int) -> Iterator[Term]:
         yield ("h2", True, gg, g - 4 * gg), epsilon_h2_orientable(gg, g - 4 * gg) * quotients, 2
     for gg, (quotients, signatures) in enumerate(_nonorientable_walk(g, _contributing_signatures(g)), 1):
         yield ("h2", False, gg, g - 2 * gg), epsilon_h2_nonorientable(gg, g - 2 * gg) * quotients, 2
-        for (_, k, l, n_s, n_v, eps), value in signatures:
+        for (k, l, n_s, n_v, eps), value in signatures:
             yield ("hl", l, gg, n_s, n_v), eps * comb(k, n_s) * value, 2 * (6 * g - 6 + l * n_s)
 
 

@@ -73,7 +73,7 @@ _CUBIC_DEGREES = frozenset({3})
 # The non-orientable unsensed count takes 0.6-1.0 s at genus 2000 on a 2-vCPU host.
 MAX_GENUS = 2000
 # Oracle searches grow factorially in the edge count: on a 2-vCPU host `verify`
-# takes about 4.0 s at --max-edges-full 12 and 4.5 s at --max-edges-orientable 15.
+# takes about 4.6 s at --max-edges-full 12 and 5.9 s at --max-edges-orientable 15.
 MAX_EDGES_FULL = 12
 MAX_EDGES_ORIENTABLE = 15
 # The ranges of the census suites of `verify`.
@@ -288,7 +288,7 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             symmetries = "reflections" if kind == "reflection" else f"rotations of order {kind}"
             yield symmetries, fixed[kind], want.get(kind, 0)
 
-    checks: List[Callable[[], Check]] = []
+    checks: List[Check] = []
     for g in range(1, (max_o + 3) // 6 + 1):
         n, s, cubic = 6 * g - 3, SurfaceClass(True, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_o}
         for count, search, form in (
@@ -296,18 +296,18 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
             ("sensed", partial(count_sensed_orientable, n, g, **cubic), sensed_cubic_orientable),
             ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_orientable),
         ):
-            checks.append(partial(_check, f"cubic orientable genus {g} {count} (n={n})", search, partial(form, g)))
+            checks.append(_check(f"cubic orientable genus {g} {count} (n={n})", search, partial(form, g)))
         label = f"cubic orientable genus {g} fixed counts by symmetry kind (n={n}, {{}} kinds)"
-        checks.append(partial(_first_mismatch, label, by_kind(n, s, orientable_terms(g), max_o)))
+        checks.append(_first_mismatch(label, by_kind(n, s, orientable_terms(g), max_o)))
     for g in range(2, (max_f + 3) // 3 + 1):
         n, s, cubic = 3 * g - 3, SurfaceClass(False, g), {"degrees": _CUBIC_DEGREES, "max_edges": max_f}
         for count, search, form in (
             ("rooted", partial(count_rooted, n, s, **cubic), rooted_cubic_nonorientable),
             ("unsensed", partial(count_unsensed, n, s, **cubic), unsensed_cubic_nonorientable),
         ):
-            checks.append(partial(_check, f"cubic non-orientable genus {g} {count} (n={n})", search, partial(form, g)))
+            checks.append(_check(f"cubic non-orientable genus {g} {count} (n={n})", search, partial(form, g)))
         label = f"cubic non-orientable genus {g} fixed counts by symmetry kind (n={n}, {{}} kinds)"
-        checks.append(partial(_first_mismatch, label, by_kind(n, s, nonorientable_terms(g), max_f)))
+        checks.append(_first_mismatch(label, by_kind(n, s, nonorientable_terms(g), max_f)))
     precubic_forms = (
         ("orientable", max_o, lambda gg, k: precubic_orientable(k + 4 * gg, gg)),
         ("non-orientable", max_f, precubic_nonorientable_by_leaves),
@@ -322,8 +322,8 @@ def suite_oracle_equivalence(max_o: int, max_f: int) -> List[Check]:
                 if not odd:
                     search = partial(count_precubic, n, surface, k, max_edges=max_edges)
                     label = f"precubic {kind} genus {gg}, {n} edges, {k} leaves"
-                    checks.append(partial(_check, label, search, partial(form, gg, k)))
-    return [check() for check in checks]
+                    checks.append(_check(label, search, partial(form, gg, k)))
+    return checks
 
 
 def suite_integrality() -> List[Check]:

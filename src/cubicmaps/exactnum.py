@@ -6,10 +6,10 @@ evaluated at a non-integral argument is zero (``jordan_totient_or_zero``),
 which makes every epimorphism closed form total. The printed census sums
 also read a factorial of a negative integer in a summand denominator as a
 pole that kills the summand; only the literal references of the test suite
-apply that, as the census chains stop before the first pole. Binomials are
-``math.comb``, called with 0 <= k <= n. Every division that must come out
-even is one ``exact_quotient``, which raises on a remainder: final
-integrality is checked, never assumed.
+apply that, as the census chains stop before the first pole. ``factorial``
+is a cached ``math.factorial``, binomials are ``math.comb`` with 0 <= k <= n.
+Every division that must come out even is one ``exact_quotient``, which
+raises on a remainder: final integrality is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -23,15 +23,8 @@ from typing import List, Sequence, Tuple
 # ============================================================
 
 
-@cache
-def factorial(n: int) -> int:
-    """Return n! for n >= 0.
-
-    Memoized: the census formulas reuse the same arguments across genera.
-    """
-    if n < 0:
-        raise ValueError(f"factorial is undefined for negative n (got {n})")
-    return math.factorial(n)
+# n! for n >= 0 (ValueError below 0), memoized: the census formulas reuse the same arguments across genera
+factorial = cache(math.factorial)
 
 
 def exact_quotient(num: int, den: int, context: str = "value") -> int:

@@ -184,15 +184,13 @@ class _PartialGluing:
         self.full: List[int] = []
 
     def glue(self, a: int, b: int, twist: bool) -> bool:
-        """Glue sides a and b; False if either is glued otherwise or a corner class leaves the degree set.
+        """Glue the free sides a and b; False if a corner class leaves the degree set.
 
-        A pair already glued the same way is accepted as it is. On False the
-        gluing may be half done: restore a copy of partner, end, size and
-        the lengths of degrees and full taken before.
+        The search branches and forces only free sides, and classify's pairs
+        partition them. On False the gluing may be half done: restore a copy
+        of partner, end, size and the lengths of degrees and full taken before.
         """
         partner, end, size = self.partner, self.end, self.size
-        if partner[a] != -1 or partner[b] != -1:
-            return partner[a] == b and self.twist[a] == twist
         partner[a], partner[b] = b, a
         self.twist[a] = self.twist[b] = twist
         # the corner links of the Model above: a+1 ~ b and a ~ b+1 untwisted, a+1 ~ b+1 and a ~ b twisted

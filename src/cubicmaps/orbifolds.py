@@ -126,32 +126,29 @@ def solve_closed_orbifolds(g: int) -> List[SignatureSolution]:
     return out
 
 
-def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, int, int]]]:
-    """The genus-g signatures with nonzero epsilon, one list per gg = 1, 2, ..., in the census's walk order.
+def _contributing_signatures(g: int) -> Iterator[List[Tuple[int, int, int, int, int]]]:
+    """The genus-g signatures with nonzero epsilon, one list for each gg = 1..g//2, in the census's walk order.
 
-    Each list holds (gg, k, l, n_s, n_v, epsilon) with k = n_s+n_v, sorted
-    by (k, l): the signatures of solve_closed_orbifolds(g) with nonzero
-    epsilon, with no record built for the others and one epsilon_hl call
-    per contributing (l, gg).
+    Each list holds (k, l, n_s, n_v, epsilon) with k = n_s+n_v, sorted by
+    (k, l): the signatures of solve_closed_orbifolds(g) with gg crosscaps
+    and nonzero epsilon, with no record built for the others and one
+    epsilon_hl call per contributing (l, gg).
     Whole periods are decided at once: with q = (6g-6)/l, n_s = rest = q
     (mod 2) and l/3 is even whenever 6 | l, so a period contributes exactly
     when epsilon_hl(l, 1, q mod 2, 0) is nonzero (at odd g no even period
-    does). So no contributing signature has more than g//2 crosscaps. The
-    stream stops after the last gg that any contributing period reaches.
+    does). So no contributing signature has more than g//2 crosscaps; the
+    lists past the last gg that a contributing period reaches are empty.
     """
-    # rising l, so the periods that reach gg, those with (g+l-1)//l >= gg, are a prefix
     periods = [l for l in _periods(g) if epsilon_hl(l, 1, (6 * g - 6) // l % 2, 0)]
     for gg in range(1, g // 2 + 1):
-        while periods and (g + periods[-1] - 1) // periods[-1] < gg:
-            periods.pop()
-        if not periods:
-            return
-        found: List[Tuple[int, int, int, int, int, int]] = []
+        found: List[Tuple[int, int, int, int, int]] = []
         for l in periods:
+            if (g + l - 1) // l < gg:
+                break  # rising l, so the periods that reach gg are a prefix
             # n_s = q (mod 2) throughout the period, and epsilon_hl reads n_s only through
             # that parity and n_v only through the factor 2^{n_v}
             epsilon = epsilon_hl(l, gg, (6 * g - 6) // l % 2, 0)
-            found.extend((gg, n_s + n_v, l, n_s, n_v, epsilon << n_v) for n_s, n_v in _branch_points(g, l, gg))
+            found.extend((n_s + n_v, l, n_s, n_v, epsilon << n_v) for n_s, n_v in _branch_points(g, l, gg))
         found.sort()
         yield found
 

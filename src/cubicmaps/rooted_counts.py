@@ -236,9 +236,9 @@ def _orientable_rotations(g: int) -> Iterator[Tuple[int, int, int, int, int]]:
 def _nonorientable_walk(g: int, signatures: Iterator[List[tuple]]) -> Iterator[Tuple[int, List[Tuple[tuple, int]]]]:
     """For gg = 1..g//2: the precubic count at the period-2 key (gg, g-2gg), and each signature of gg with its count.
 
-    `signatures` yields one list of keys (gg, k, ...) per gg, in k order,
-    repeats allowed (orbifolds._contributing_signatures); a key's count is
-    the non-orientable precubic count at (gg, k). The period-2 counts form
+    `signatures` yields one list of records (k, ...) per gg, in k order,
+    repeats allowed (orbifolds._contributing_signatures); a record's count
+    is the non-orientable precubic count at (gg, k). The period-2 counts form
     two chains in h, one per parity of gg, started at gg = 1 and 2 from the
     closed form and stepped two crosscaps at a time; the even one carries N_h
     of _central_sums. With h and k = g-2gg+4 those of gg-2, the ratios are
@@ -268,7 +268,7 @@ def _nonorientable_walk(g: int, signatures: Iterator[List[tuple]]) -> Iterator[T
             chains[0] = exact_quotient(chains[0] * (central * falling), den, context)
         last, value, counted = -2, 0, []
         for key in next(signatures, []):
-            k = key[1]
+            k = key[0]
             if last < r <= k:
                 last, value = r, chains[gg % 2]
             if k == last + 1:

@@ -211,6 +211,26 @@ def test_forced_closures_cut_the_work_of_a_deep_tree(monkeypatch) -> None:
     assert calls < 7_500
 
 
+def test_the_search_glues_only_free_sides(monkeypatch) -> None:
+    # glue has no rule for a side that is already glued: the search branches only on free sides, and a
+    # forced pair is the two free flanking sides of a full path's ends
+    calls = 0
+    glue = oracle._PartialGluing.glue
+
+    def checked_glue(self, a, b, twist):
+        nonlocal calls
+        calls += 1
+        assert self.partner[a] == self.partner[b] == -1, (a, b)
+        return glue(self, a, b, twist)
+
+    monkeypatch.setattr(oracle._PartialGluing, "glue", checked_glue)
+    oracle._count_search(8, True, frozenset({1, 3}))
+    for n in range(1, 5):
+        for allow_twists in (False, True):
+            oracle._count_search(n, allow_twists, None)
+    assert calls > 7_000
+
+
 def test_completeness_partition_by_surface() -> None:
     # orientable matchings: (2n-1)!!; gluings with at least one twist:
     # (2n-1)!! (2^n - 1); each partitioned exactly by the classified surface
